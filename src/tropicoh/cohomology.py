@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .chains import betti_numbers, compose_is_zero
 from .errors import BalancingRequiredError, PurityError, ValidationError
@@ -84,29 +85,13 @@ class CellularSheafDatum:
                     f"matrix for {lo.id} -> {hi.id} has shape "
                     f"{(nrows, ncols)}, expected "
                     f"{(dst.space_dim, src.space_dim)}")
-        # Diamond commutation: both compositions agree on every 2-interval.
-        ups: dict = {}
-        for (i, j) in self.cover_maps:
-            ups.setdefault(i, []).append(j)
-        for i in range(len(self.cells)):
-            tops: dict = {}
-            for j in ups.get(i, ()):
-                for k in ups.get(j, ()):
-                    tops.setdefault(k, []).append(j)
-            for k, middles in tops.items():
-                comps = []
-                for j in middles:
-                    if self.direction == SHEAF:
-                        comps.append(mat_mul(mat(self.cover_maps[(j, k)]),
-                                             mat(self.cover_maps[(i, j)])))
-                    else:
-                        comps.append(mat_mul(mat(self.cover_maps[(i, j)]),
-                                             mat(self.cover_maps[(j, k)])))
-                for other in comps[1:]:
-                    if other != comps[0]:
-                        raise ValidationError(
-                            f"non-commuting diamond under {self.cells[i].id}"
-                            f" -> {self.cells[k].id}")
+        # Diamond commutation: all compositions agree on every 2-interval.
+        for i, k, middles in _intervals(self.cover_maps, len(self.cells)):
+            first = _composite(self, i, middles[0], k)
+            if any(_composite(self, i, j, k) != first for j in middles[1:]):
+                raise ValidationError(
+                    f"non-commuting diamond under {self.cells[i].id}"
+                    f" -> {self.cells[k].id}")
 
     def transpose(self) -> "CellularSheafDatum":
         """The dual datum: sheaf from cosheaf and back, with transposes."""
@@ -126,26 +111,17 @@ class CellularSheafDatum:
 # -- multi-tangent spaces on a geometric complex -------------------------------
 
 
-_WEDGE_CACHE: dict = {}
-
-
-def _wedge_power_cached(space: Subspace, p: int) -> Subspace:
-    key = (space.ambient_dim, space.basis, p)
-    got = _WEDGE_CACHE.get(key)
-    if got is None:
-        got = wedge_power(space, p)
-        _WEDGE_CACHE[key] = got
-    return got
+@lru_cache(maxsize=None)
+def _wedge_power(space: Subspace, p: int) -> Subspace:
+    # Subspaces hash and compare by (ambient_dim, basis).
+    return wedge_power(space, p)
 
 
 def multitangent_space(c: PolyhedralComplex, cell_index: int, p: int
                        ) -> Subspace:
     """F_p(sigma): sum of p-th wedge powers of same-sedentarity coface
     tangents, in lexicographic wedge coordinates on the ambient space."""
-    cache = getattr(c, "_multitangent_cache", None)
-    if cache is None:
-        cache = {}
-        c._multitangent_cache = cache
+    cache = c._multitangent_cache
     got = cache.get((cell_index, p))
     if got is not None:
         return got
@@ -156,7 +132,7 @@ def multitangent_space(c: PolyhedralComplex, cell_index: int, p: int
         tau = c.cells[j]
         if tau.sedentarity != sigma.sedentarity:
             continue
-        pieces.append(_wedge_power_cached(tau.tangent, p))
+        pieces.append(_wedge_power(tau.tangent, p))
     out = Subspace(ambient, ()) if not pieces else subspace_sum(pieces)
     cache[(cell_index, p)] = out
     return out
@@ -204,7 +180,31 @@ def build_sheaf(c: PolyhedralComplex, p: int) -> CellularSheafDatum:
     return build_cosheaf(c, p).transpose()
 
 
-# -- incidence signs for abstract data ------------------------------------------
+# -- poset diamonds and incidence signs ----------------------------------------
+
+
+def _intervals(pairs, ncells):
+    """Length-two intervals (i, k, middle cells) of the poset whose
+    covering pairs are `pairs`, by bottom cell; middles in pair order."""
+    ups: dict = {}
+    for (i, j) in pairs:
+        ups.setdefault(i, []).append(j)
+    for i in range(ncells):
+        tops: dict = {}
+        for j in ups.get(i, ()):
+            for k in ups.get(j, ()):
+                tops.setdefault(k, []).append(j)
+        for k, middles in tops.items():
+            yield i, k, middles
+
+
+def _composite(datum, i, j, k):
+    """The structure map of i < k through the middle cell j."""
+    if datum.direction == SHEAF:
+        return mat_mul(mat(datum.cover_maps[(j, k)]),
+                       mat(datum.cover_maps[(i, j)]))
+    return mat_mul(mat(datum.cover_maps[(i, j)]),
+                   mat(datum.cover_maps[(j, k)]))
 
 
 def _solve_signs(datum: CellularSheafDatum) -> dict:
@@ -212,46 +212,30 @@ def _solve_signs(datum: CellularSheafDatum) -> dict:
     pairs = sorted(datum.cover_maps)
     var = {pair: k for k, pair in enumerate(pairs)}
     rows = []
-    ups: dict = {}
-    for (i, j) in pairs:
-        ups.setdefault(i, []).append(j)
-    for i in range(len(datum.cells)):
-        tops: dict = {}
-        for j in ups.get(i, ()):
-            for k in ups.get(j, ()):
-                tops.setdefault(k, []).append(j)
-        for k, middles in tops.items():
-            if len(middles) == 1:
-                # A single path: its composite must be zero or no signing
-                # can square to zero.
-                comp = _composite(datum, i, middles[0], k)
-                if any(any(x != 0 for x in row) for row in comp):
-                    raise ValidationError(
-                        "poset interval with a single middle cell and a "
-                        "nonzero composite admits no incidence signing")
-                continue
-            if len(middles) > 2:
-                raise ValidationError("non-thin poset interval")
-            j1, j2 = middles
-            row = [0] * (len(pairs) + 1)
-            row[var[(i, j1)]] ^= 1
-            row[var[(j1, k)]] ^= 1
-            row[var[(i, j2)]] ^= 1
-            row[var[(j2, k)]] ^= 1
-            row[-1] = 1
-            rows.append(row)
+    for i, k, middles in _intervals(pairs, len(datum.cells)):
+        if len(middles) == 1:
+            # A single path: its composite must be zero or no signing
+            # can square to zero.
+            comp = _composite(datum, i, middles[0], k)
+            if any(any(x != 0 for x in row) for row in comp):
+                raise ValidationError(
+                    "poset interval with a single middle cell and a "
+                    "nonzero composite admits no incidence signing")
+            continue
+        if len(middles) > 2:
+            raise ValidationError("non-thin poset interval")
+        j1, j2 = middles
+        row = [0] * (len(pairs) + 1)
+        row[var[(i, j1)]] ^= 1
+        row[var[(j1, k)]] ^= 1
+        row[var[(i, j2)]] ^= 1
+        row[var[(j2, k)]] ^= 1
+        row[-1] = 1
+        rows.append(row)
     solution = _gf2_solve(rows, len(pairs))
     if solution is None:
         raise ValidationError("no consistent incidence signing exists")
     return {pair: (-1 if solution[var[pair]] else 1) for pair in pairs}
-
-
-def _composite(datum, i, j, k):
-    if datum.direction == SHEAF:
-        return mat_mul(mat(datum.cover_maps[(j, k)]),
-                       mat(datum.cover_maps[(i, j)]))
-    return mat_mul(mat(datum.cover_maps[(i, j)]),
-                   mat(datum.cover_maps[(j, k)]))
 
 
 def _gf2_solve(rows, nvars):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from .errors import ValidationError
 from .linalg import (
     Subspace,
     Vec,
@@ -172,7 +173,8 @@ def polyhedron_generators(equations, inequalities, ambient_dim: int):
     lin_out = []
     for l in lineality:
         # x0 >= 0 is among the inequalities, so lineality keeps x0 = 0.
-        assert l[0] == 0
+        if l[0] != 0:
+            raise ValidationError(f"lineality {l} leaves the x0 = 0 plane")
         lin_out.append(tuple(Fraction(x) for x in l[1:]))
     for r in rays:
         if r[0] > 0:

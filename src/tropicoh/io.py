@@ -86,10 +86,10 @@ def complex_to_dict(c: PolyhedralComplex) -> dict:
 def complex_from_dict(data) -> PolyhedralComplex:
     try:
         ambient = int(data["ambient_dim"])
-        raw_cells = data["maximal_cells"]
+        raw_cells = list(data["maximal_cells"])
+        tropical = {int(i) - 1 for i in data.get("tropical_coords", [])}
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad complex object: {exc}") from exc
-    tropical = {int(i) - 1 for i in data.get("tropical_coords", [])}
     if any(i < 0 or i >= ambient for i in tropical):
         raise ParseError("tropical_coords out of range")
     maximal = []
@@ -100,7 +100,7 @@ def complex_from_dict(data) -> PolyhedralComplex:
             rays = [[parse_rational(x) for x in r]
                     for r in entry.get("rays", [])]
             weight = int(entry.get("weight", 1))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad cell entry: {exc}") from exc
         try:
             maximal.append((Polyhedron(ambient, verts, rays), weight))
@@ -234,9 +234,9 @@ def superform_from_dict(data) -> PolySuperform:
                 mono = tuple(int(e) for e in t["exponents"])
                 poly_terms[mono] = poly_terms.get(mono, Fraction(0)) + \
                     parse_rational(t["coeff"])
+            poly = Poly(ambient, poly_terms)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad superform term: {exc}") from exc
-        poly = Poly(ambient, poly_terms)
         key = (k, l)
         terms[key] = terms[key] + poly if key in terms else poly
     try:

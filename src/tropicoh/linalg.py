@@ -56,10 +56,6 @@ def is_zero_vec(a: Vec) -> bool:
     return all(x == 0 for x in a)
 
 
-def mat_identity(n: int) -> Mat:
-    return tuple(unit_vec(n, i) for i in range(n))
-
-
 def mat_transpose(m: Mat) -> Mat:
     return tuple(zip(*m)) if m else ()
 
@@ -278,10 +274,9 @@ def subspace_equal(a: Subspace, b: Subspace) -> bool:
 def rank_kernel_image(m: Mat) -> tuple[int, Subspace, Subspace]:
     """Rank, kernel and column span of a rational matrix."""
     nrows, ncols = mat_shape(m)
-    red, pivots = rref(m)
     kernel = Subspace(ncols, kernel_basis(m))
     image = Subspace(nrows, mat_transpose(m))
-    return len(pivots), kernel, image
+    return ncols - kernel.dim, kernel, image
 
 
 # ---------------------------------------------------------------------------
@@ -604,11 +599,6 @@ def lattice_quotient_primitive(z_sigma: Lattice, z_tau: Lattice, interior_witnes
 def p_subsets(m: int, p: int) -> tuple[tuple[int, ...], ...]:
     """All p-subsets of range(m) in lexicographic order."""
     return tuple(itertools.combinations(range(m), p))
-
-
-@lru_cache(maxsize=None)
-def wedge_index(m: int, p: int) -> dict:
-    return {k: i for i, k in enumerate(p_subsets(m, p))}
 
 
 def sort_with_sign(indices) -> tuple[tuple[int, ...], int]:

@@ -19,7 +19,17 @@ from .errors import (
     ModificationError,
     NotAModificationError,
 )
-from .linalg import is_zero_vec, solve, vadd, vdot, vec, vscale, vsub, zero_vec
+from .linalg import (
+    is_zero_vec,
+    solve,
+    unit_vec,
+    vadd,
+    vdot,
+    vec,
+    vscale,
+    vsub,
+    zero_vec,
+)
 from .polyhedral import (
     Polyhedron,
     PolyhedralComplex,
@@ -191,7 +201,7 @@ def complete_modification(w: PolyhedralComplex, p: PLFunction
                                for piece, weight, _, _ in pieces])
     graph = graph_complex(w, p)
     r1 = graph.ambient_dim
-    e_last = tuple(Fraction(1 if i == r1 - 1 else 0) for i in range(r1))
+    e_last = unit_vec(r1, r1 - 1)
     n = graph.n
     hung = []
     for t in graph.cells_of_dim(n - 1):
@@ -298,17 +308,19 @@ def project_modification(v: PolyhedralComplex, coordinate: int
                                      "cycle")
     r = v.ambient_dim
     i = coordinate
-    e_i = tuple(Fraction(1 if k == i else 0) for k in range(r))
+    e_i = unit_vec(r, i)
     verticals = []
     horizontals = []
     for f in v.facet_indices():
         cell = v.cells[f]
         weight = v.weights.get(f, 1)
         if cell.tangent.contains(e_i):
-            from .convex import cone_facets
+            from .convex import cone_facets, satisfies
             eqs, normals = cone_facets(cell.rays, r)
-            up = convex_member(e_i, eqs, normals)
-            down = convex_member(vscale(-1, e_i), eqs, normals)
+            eqs = [(e, 0) for e in eqs]
+            normals = [(a, 0) for a in normals]
+            up = satisfies(e_i, eqs, normals)
+            down = satisfies(vscale(-1, e_i), eqs, normals)
             if up and down:
                 raise NotAModificationError(
                     f"fibers of {cell} are full lines")
@@ -373,11 +385,6 @@ def project_modification(v: PolyhedralComplex, coordinate: int
             not weighted_supports_equal(divisor, rebuilt.divisor):
         raise NotAModificationError("divisor mismatch in reconstruction")
     return ModificationResult(v, w, divisor, func, i)
-
-
-def convex_member(x, eqs, normals) -> bool:
-    return (all(vdot(vec(e), vec(x)) == 0 for e in eqs)
-            and all(vdot(vec(a), vec(x)) >= 0 for a in normals))
 
 
 def _solve_linear_functional(directions, values, ambient):

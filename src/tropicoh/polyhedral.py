@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 from . import convex
 from .errors import (
@@ -26,6 +27,7 @@ from .linalg import (
     is_zero_vec,
     primitive,
     solve,
+    unit_vec,
     vadd,
     vdot,
     vec,
@@ -51,10 +53,6 @@ class _NegInf:
 
 
 NEG_INF = _NegInf()
-
-_HREP_CACHE: dict = {}
-_TANGENT_CACHE: dict = {}
-_LATTICE_CACHE: dict = {}
 
 
 def sedentarity_of(point) -> frozenset[int]:
@@ -109,7 +107,8 @@ class Polyhedron:
 
     # -- derived geometry ---------------------------------------------------
     # Face enumeration recreates equal cells many times, so the expensive
-    # derived data is memoized globally under the canonical V-signature.
+    # derived data is memoized per process under the canonical V-signature
+    # (see _hrep_of, _tangent_of, _lattice_of) and then kept on the cell.
 
     def _signature(self):
         return (self.ambient_dim, tuple(sorted(self.sedentarity)),
@@ -119,14 +118,7 @@ class Polyhedron:
     def hrep(self):
         """(equations, inequalities) of the mobile part, canonical."""
         if self._hrep is None:
-            sig = self._signature()
-            cached = _HREP_CACHE.get(sig)
-            if cached is None:
-                eqs, ineqs = convex.polyhedron_facets(
-                    self.vertices, self.rays, self.ambient_dim)
-                cached = (tuple(eqs), tuple(ineqs))
-                _HREP_CACHE[sig] = cached
-            self._hrep = cached
+            self._hrep = _hrep_of(self._signature())
         return self._hrep
 
     @property
@@ -137,27 +129,14 @@ class Polyhedron:
     def tangent(self) -> Subspace:
         """The direction space L(sigma), embedded in Q^r with zeros on I."""
         if self._tangent is None:
-            sig = self._signature()
-            cached = _TANGENT_CACHE.get(sig)
-            if cached is None:
-                v0 = self.vertices[0]
-                dirs = [vsub(v, v0) for v in self.vertices[1:]] + \
-                    [vec(r) for r in self.rays]
-                cached = Subspace(self.ambient_dim, dirs)
-                _TANGENT_CACHE[sig] = cached
-            self._tangent = cached
+            self._tangent = _tangent_of(self._signature())
         return self._tangent
 
     @property
     def lattice(self) -> Lattice:
         """Z(sigma): the integer points of the tangent space."""
         if self._lattice is None:
-            key = (self.ambient_dim, self.tangent.basis)
-            cached = _LATTICE_CACHE.get(key)
-            if cached is None:
-                cached = Lattice.from_subspace(self.tangent)
-                _LATTICE_CACHE[key] = cached
-            self._lattice = cached
+            self._lattice = _lattice_of(self.tangent)
         return self._lattice
 
     @property
@@ -218,6 +197,27 @@ class Polyhedron:
                 f"{sed}, {len(self.vertices)}V/{len(self.rays)}R)")
 
 
+@lru_cache(maxsize=None)
+def _hrep_of(signature):
+    ambient_dim, _, vertices, rays = signature
+    eqs, ineqs = convex.polyhedron_facets(vertices, rays, ambient_dim)
+    return tuple(eqs), tuple(ineqs)
+
+
+@lru_cache(maxsize=None)
+def _tangent_of(signature) -> Subspace:
+    ambient_dim, _, vertices, rays = signature
+    v0 = vertices[0]
+    dirs = [vsub(v, v0) for v in vertices[1:]] + [vec(r) for r in rays]
+    return Subspace(ambient_dim, dirs)
+
+
+@lru_cache(maxsize=None)
+def _lattice_of(tangent: Subspace) -> Lattice:
+    # Subspaces hash and compare by (ambient_dim, basis).
+    return Lattice.from_subspace(tangent)
+
+
 def vrep_to_hrep(p: Polyhedron):
     """Irredundant affine inequalities of the mobile part of p."""
     return list(p.hrep[1])
@@ -259,9 +259,9 @@ def stratum_piece(p: Polyhedron, extra: frozenset[int]):
     ineqs = [(vec(n), Fraction(0)) for n in rec_normals]
     for i in mobile:
         if i in extra:
-            ineqs.append((vscale(-1, vec(unit(p.ambient_dim, i))), Fraction(1)))
+            ineqs.append((vscale(-1, unit_vec(p.ambient_dim, i)), Fraction(1)))
         else:
-            eqs.append((vec(unit(p.ambient_dim, i)), Fraction(0)))
+            eqs.append((unit_vec(p.ambient_dim, i), Fraction(0)))
     if not convex.polyhedron_nonempty(eqs, ineqs, p.ambient_dim):
         return None
     kill = set(extra)
@@ -271,10 +271,6 @@ def stratum_piece(p: Polyhedron, extra: frozenset[int]):
     rays = [proj(r) for r in p.rays]
     rays = [r for r in rays if not is_zero_vec(r)]
     return Polyhedron(p.ambient_dim, verts, rays, p.sedentarity | extra)
-
-
-def unit(n: int, i: int):
-    return tuple(Fraction(1 if j == i else 0) for j in range(n))
 
 
 def infinite_faces(p: Polyhedron, tropical_coords) -> list[Polyhedron]:
@@ -299,7 +295,7 @@ def intersect(a: Polyhedron, b: Polyhedron):
     """
     if a.sedentarity != b.sedentarity or a.ambient_dim != b.ambient_dim:
         return None
-    from .linalg import kernel_basis, mat, rref, zero_vec as _zv
+    from .linalg import kernel_basis, mat, rref
     r = a.ambient_dim
     eq_rows = [tuple(list(vec(n)) + [off])
                for n, off in list(a.hrep[0]) + list(b.hrep[0])]
@@ -309,16 +305,14 @@ def intersect(a: Polyhedron, b: Polyhedron):
         red, pivots = rref(eq_rows)
         if any(p == r for p in pivots):
             return None  # inconsistent equations: hulls are disjoint
-        point = list(_zv(r))
+        point = list(zero_vec(r))
         for row, p in zip(red, pivots):
             point[p] = row[-1]
         point = tuple(point)
         basis = kernel_basis(mat(normals))
     else:
-        point = _zv(r)
-        basis = [vec(row) for row in
-                 rref([[1 if j == i else 0 for j in range(r)]
-                       for i in range(r)])[0]]
+        point = zero_vec(r)
+        basis = [unit_vec(r, i) for i in range(r)]
     # Restrict all inequalities to point + span(basis).
     rest = []
     for n, c in list(a.hrep[1]) + list(b.hrep[1]):
@@ -348,7 +342,7 @@ def intersect(a: Polyhedron, b: Polyhedron):
         return tuple(out)
 
     verts = [back(t, point) for t in verts_t]
-    rays = [back(t, _zv(r)) for t in list(rays_t) + list(lin_t) +
+    rays = [back(t, zero_vec(r)) for t in list(rays_t) + list(lin_t) +
             [tuple(-x for x in l) for l in lin_t]]
     return Polyhedron(r, verts, rays, a.sedentarity)
 
@@ -383,6 +377,7 @@ class PolyhedralComplex:
         self.signs = dict(signs)
         self._index = {c.key: i for i, c in enumerate(self.cells)}
         self._cofaces_cache = None
+        self._multitangent_cache: dict = {}  # (cell index, p) -> Subspace
 
     # -- basic queries -------------------------------------------------------
 
@@ -460,7 +455,7 @@ def _escape_vector(sigma: Polyhedron, esc: frozenset[int]):
     """
     inter = sigma.tangent.intersection(
         Subspace(sigma.ambient_dim,
-                 [unit(sigma.ambient_dim, i) for i in esc]))
+                 [unit_vec(sigma.ambient_dim, i) for i in esc]))
     if inter.dim != 1:
         raise ComplexAxiomError("sedentarity jump is not corank one")
     w = primitive(inter.basis[0])
@@ -469,12 +464,12 @@ def _escape_vector(sigma: Polyhedron, esc: frozenset[int]):
     return vec(w)
 
 
-def _incidence_sign(tau: Polyhedron, sigma: Polyhedron, nu_cache=None) -> int:
+def _incidence_sign(tau: Polyhedron, sigma: Polyhedron) -> int:
     """Orientation sign of a covering pair using the outward convention."""
     o_sigma = _orientation(sigma)
     o_tau = _orientation(tau)
     if tau.sedentarity == sigma.sedentarity:
-        nu = lattice_quotient(sigma, tau, nu_cache)
+        nu = lattice_quotient(sigma, tau)
         outward = vscale(-1, nu)
         cols = [outward] + [vec(b) for b in o_tau]
     else:
@@ -505,15 +500,14 @@ def _incidence_sign(tau: Polyhedron, sigma: Polyhedron, nu_cache=None) -> int:
     return 1 if d > 0 else -1
 
 
-_ORIENT_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _orientation(p: Polyhedron):
     """Deterministic ordered basis of L(p): the HNF lattice basis, with
-    one-dimensional cells oriented along their geometry."""
-    got = _ORIENT_CACHE.get(p.key)
-    if got is not None:
-        return got
+    one-dimensional cells oriented along their geometry.
+
+    Memoized per process; cells hash and compare by `key`, so every cell
+    equal to the first one seen gets that cell's orientation.
+    """
     basis = [vec(b) for b in p.lattice.basis]
     if p.dim == 1:
         direction = None
@@ -524,22 +518,14 @@ def _orientation(p: Polyhedron):
             direction = vsub(vs[-1], vs[0])
         if direction is not None and vdot(basis[0], direction) < 0:
             basis[0] = vscale(-1, basis[0])
-    out = tuple(basis)
-    _ORIENT_CACHE[p.key] = out
-    return out
+    return tuple(basis)
 
 
-def lattice_quotient(sigma: Polyhedron, tau: Polyhedron, cache=None) -> Vec:
+def lattice_quotient(sigma: Polyhedron, tau: Polyhedron) -> Vec:
     """Primitive normal of tau in sigma pointing into sigma."""
     from .linalg import lattice_quotient_primitive
-    key = (tau.key, sigma.key)
-    if cache is not None and key in cache:
-        return cache[key]
     witness = vsub(sigma.relint_point(), tau.relint_point())
-    nu = vec(lattice_quotient_primitive(sigma.lattice, tau.lattice, witness))
-    if cache is not None:
-        cache[key] = nu
-    return nu
+    return vec(lattice_quotient_primitive(sigma.lattice, tau.lattice, witness))
 
 
 def build_complex(maximal_cells, tropical_coords=(), validate=True
@@ -573,6 +559,7 @@ def build_complex(maximal_cells, tropical_coords=(), validate=True
 
     cells: dict = {}
     dominated: set = set()  # keys that are proper faces of another cell
+    pieces: dict = {}  # (cell key, extra coordinates) -> stratum piece or None
     work = []
     for c, _ in entries:
         if c.key not in cells:
@@ -593,7 +580,9 @@ def build_complex(maximal_cells, tropical_coords=(), validate=True
             allowed = sorted(set(tropical) - c.sedentarity)
             for k in range(1, len(allowed) + 1):
                 for combo in itertools.combinations(allowed, k):
-                    piece = stratum_piece(c, frozenset(combo))
+                    extra = frozenset(combo)
+                    piece = stratum_piece(c, extra)
+                    pieces[(c.key, extra)] = piece
                     if piece is not None and piece.key not in cells:
                         new.append(piece)
         for f in new:
@@ -608,18 +597,16 @@ def build_complex(maximal_cells, tropical_coords=(), validate=True
         _validate_intersections(ordered, dominated)
 
     # Covering relations: containment with dimension difference one.
-    piece_cache: dict = {}
-
-    def dominated(tau, sigma):
+    def is_face(tau, sigma):
         if tau.sedentarity == sigma.sedentarity:
             return sigma.contains_polyhedron(tau)
         if not (tau.sedentarity > sigma.sedentarity):
             return False
         extra = tau.sedentarity - sigma.sedentarity
-        pkey = (sigma.key, tuple(sorted(extra)))
-        if pkey not in piece_cache:
-            piece_cache[pkey] = stratum_piece(sigma, extra)
-        piece = piece_cache[pkey]
+        pkey = (sigma.key, extra)
+        if pkey not in pieces:
+            pieces[pkey] = stratum_piece(sigma, extra)
+        piece = pieces[pkey]
         return piece is not None and piece.contains_polyhedron(tau)
 
     covers = []
@@ -629,7 +616,7 @@ def build_complex(maximal_cells, tropical_coords=(), validate=True
     for d in sorted(by_dim):
         for i in by_dim.get(d, []):
             for j in by_dim.get(d + 1, []):
-                if dominated(ordered[i], ordered[j]):
+                if is_face(ordered[i], ordered[j]):
                     covers.append((i, j))
 
     weights = {}
@@ -637,8 +624,7 @@ def build_complex(maximal_cells, tropical_coords=(), validate=True
         weights[index[c.key]] = w
 
     orientations = {i: _orientation(c) for i, c in enumerate(ordered)}
-    nu_cache: dict = {}
-    signs = {(t, s): _incidence_sign(ordered[t], ordered[s], nu_cache)
+    signs = {(t, s): _incidence_sign(ordered[t], ordered[s])
              for t, s in covers}
 
     return PolyhedralComplex(ambient, tropical, ordered, covers, weights,
@@ -679,7 +665,6 @@ def is_balanced(c: PolyhedralComplex):
         raise PurityError("balancing needs a pure-dimensional complex")
     n = c.n
     failures = []
-    nu_cache: dict = {}
     for t in c.cells_of_dim(n - 1):
         tau = c.cells[t]
         total = zero_vec(c.ambient_dim)
@@ -687,7 +672,7 @@ def is_balanced(c: PolyhedralComplex):
             sigma = c.cells[s]
             if sigma.dim != n or sigma.sedentarity != tau.sedentarity:
                 continue
-            nu = lattice_quotient(sigma, tau, nu_cache)
+            nu = lattice_quotient(sigma, tau)
             total = vadd(total, vscale(c.weights.get(s, 1), nu))
         if not tau.lattice.contains(total):
             failures.append((t, tau.lattice.reduce(total)))
@@ -762,12 +747,8 @@ def product(c: PolyhedralComplex, extra_dim: int, tropical: bool
         rays = [tuple(list(vec(ray)) + [Fraction(0)] * extra_dim)
                 for ray in cell.rays]
         for j in new_coords:
-            e = [Fraction(0)] * (r + extra_dim)
-            e[j] = Fraction(1)
-            rays.append(tuple(e))
-            e2 = list(e)
-            e2[j] = Fraction(-1)
-            rays.append(tuple(e2))
+            e = unit_vec(r + extra_dim, j)
+            rays += [e, vscale(-1, e)]
         sed = cell.sedentarity
         maximal.append((Polyhedron(r + extra_dim, verts, rays, sed),
                         c.weights.get(i, 1)))

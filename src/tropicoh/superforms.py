@@ -286,7 +286,9 @@ def integrate_cell(alpha: PolySuperform, cell: Polyhedron) -> Fraction:
         param_verts.append(vec(sol))
     total = Fraction(0)
     for simplex in triangulate_polytope(param_verts, n):
-        assert len(simplex) == n + 1
+        if len(simplex) != n + 1:
+            raise DimensionError(
+                f"triangulation gave {simplex} in dimension {n}")
         total += integrate_over_simplex(f_alpha, list(simplex))
     return total
 

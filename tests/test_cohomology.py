@@ -326,6 +326,25 @@ def test_noncommuting_diamond_rejected():
         CellularSheafDatum(cells, maps, SHEAF)
 
 
+def test_three_middle_cells_admit_no_signing():
+    cells = [SheafCell("p", 0, 1), SheafCell("a", 1, 1), SheafCell("b", 1, 1),
+             SheafCell("c", 1, 1), SheafCell("t", 2, 1)]
+    one = ((F(1),),)
+    maps = {(0, 1): one, (0, 2): one, (0, 3): one,
+            (1, 4): one, (2, 4): one, (3, 4): one}
+    datum = CellularSheafDatum(cells, maps, SHEAF)
+    with pytest.raises(ValidationError, match="non-thin poset interval"):
+        compact_cohomology(datum)
+
+
+def test_single_middle_cell_with_nonzero_composite_rejected():
+    cells = [SheafCell("p", 0, 1), SheafCell("a", 1, 1), SheafCell("t", 2, 1)]
+    one = ((F(1),),)
+    datum = CellularSheafDatum(cells, {(0, 1): one, (1, 2): one}, SHEAF)
+    with pytest.raises(ValidationError, match="single middle cell"):
+        compact_cohomology(datum)
+
+
 def test_products_with_t_factor():
     # L x T^1: a closed modification-flavoured complex; engines must agree
     # with Poincare duality across the anti-diagonal.

@@ -1,7 +1,10 @@
 """Cross-cutting spec invariants not tied to a single module."""
 
+import importlib
+import pkgutil
 from fractions import Fraction
 
+import tropicoh
 from tropicoh.cohomology import (
     build_sheaf,
     inclusion_map,
@@ -100,3 +103,13 @@ def test_constant_cosheaf_on_line():
     cos = build_cosheaf(tropical_line(), 0)
     assert all(c.space_dim == 1 for c in cos.cells)
     assert all(m == ((F(1),),) for m in cos.cover_maps.values())
+
+
+def test_no_module_level_dicts():
+    # Memoized derived data lives in lru_cache helpers or on the objects it
+    # belongs to, never in ad-hoc module-level dicts.
+    for info in pkgutil.iter_modules(tropicoh.__path__):
+        module = importlib.import_module(f"tropicoh.{info.name}")
+        held = [name for name, value in vars(module).items()
+                if isinstance(value, dict) and not name.startswith("__")]
+        assert not held, f"tropicoh.{info.name} holds dicts {held}"

@@ -227,6 +227,34 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert json.loads(out)["error"] == "NotAModificationError"
 
 
+LINE = {"ambient_dim": 2, "maximal_cells": [
+    {"vertices": [["0", "0"]], "rays": [r]}
+    for r in (["-1", "0"], ["0", "-1"], ["1", "1"])]}
+
+
+@pytest.mark.parametrize("complex_data, form_data", [
+    (dict(LINE, tropical_coords=["x"]), None),
+    (dict(LINE, maximal_cells=[{"vertices": [["0", "0"]], "weight": "x"}]),
+     None),
+    (dict(LINE, maximal_cells=5), None),
+    (LINE, {"ambient_dim": 2, "p": 1, "q": 0,
+            "terms": [{"K": [1], "L": [],
+                       "poly": [{"coeff": "1", "exponents": [1]}]}]}),
+], ids=["tropical-coord", "weight", "maximal-cells", "monomial-length"])
+def test_cli_malformed_input_is_a_parse_error(tmp_path, capsys, complex_data,
+                                               form_data):
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(complex_data))
+    args = ["stokes", str(path)]
+    if form_data is not None:
+        form = tmp_path / "form.json"
+        form.write_text(json.dumps(form_data))
+        args += ["--form", str(form)]
+    code, out = run_cli(args, capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == "parse"
+
+
 def test_cli_determinism(tmp_path, capsys):
     path = tmp_path / "line.json"
     tio.save_complex(tropical_line(), path)
