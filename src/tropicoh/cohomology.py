@@ -52,6 +52,10 @@ class CellularSheafDatum:
     """
 
     def __init__(self, cells, cover_maps, direction, signs=None):
+        self._setup(cells, cover_maps, direction, signs)
+        self._validate()
+
+    def _setup(self, cells, cover_maps, direction, signs):
         if direction not in (SHEAF, COSHEAF):
             raise ValidationError(f"unknown direction {direction!r}")
         self.cells = tuple(cells)
@@ -61,7 +65,6 @@ class CellularSheafDatum:
         self._by_id = {c.id: i for i, c in enumerate(self.cells)}
         if len(self._by_id) != len(self.cells):
             raise ValidationError("duplicate cell ids")
-        self._validate()
 
     @property
     def n(self) -> int:
@@ -105,7 +108,11 @@ class CellularSheafDatum:
             if not t and rows_new:
                 t = tuple(() for _ in range(rows_new))
             flipped[(i, j)] = t
-        return CellularSheafDatum(self.cells, flipped, other, self.signs)
+        # Transposing keeps every shape consistent and every diamond
+        # commuting, so the checks this datum passed are not run again.
+        dual = CellularSheafDatum.__new__(CellularSheafDatum)
+        dual._setup(self.cells, flipped, other, self.signs)
+        return dual
 
 
 # -- multi-tangent spaces on a geometric complex -------------------------------

@@ -15,9 +15,10 @@ from .errors import ValidationError
 from .linalg import (
     Subspace,
     Vec,
+    clear_denominators,
+    idot,
     is_zero_vec,
     kernel_basis,
-    mat,
     primitive,
     rref,
     vdot,
@@ -29,9 +30,7 @@ from .linalg import (
 
 def _kernel(rows, ambient_dim: int):
     """Kernel basis that tolerates an empty row list."""
-    if not rows:
-        rows = [zero_vec(ambient_dim)]
-    return kernel_basis(mat(rows))
+    return kernel_basis(rows if rows else [zero_vec(ambient_dim)])
 
 
 def cone_facets(generators, ambient_dim: int):
@@ -47,6 +46,8 @@ def cone_facets(generators, ambient_dim: int):
         return equations, []
     span = Subspace(ambient_dim, gens)
     d = span.dim
+    # Signs are tested on primitive integer rows: positive scaling keeps them.
+    int_gens = [primitive(g) for g in gens]
     normals = set()
     for subset in itertools.combinations(range(len(gens)), d - 1):
         sub = [gens[i] for i in subset]
@@ -56,14 +57,13 @@ def cone_facets(generators, ambient_dim: int):
         cand = _kernel(sub + list(span.perp().basis), ambient_dim)
         if len(cand) != 1:
             continue
-        n = cand[0]
-        pos = any(vdot(n, g) > 0 for g in gens)
-        neg = any(vdot(n, g) < 0 for g in gens)
+        n = primitive(cand[0])
+        dots = [idot(n, g) for g in int_gens]
+        pos = any(x > 0 for x in dots)
+        neg = any(x < 0 for x in dots)
         if pos and neg:
             continue
-        if neg:
-            n = tuple(-x for x in n)
-        normals.add(primitive(n))
+        normals.add(tuple(-x for x in n) if neg else n)
     return equations, sorted(normals)
 
 
@@ -94,16 +94,16 @@ def cone_rays(ineq_normals, eq_normals, ambient_dim: int):
     dimc = len(basis)
     if dimc == 0:
         return lineality, []
-    restricted = [tuple(vdot(a, b) for b in basis) for a in ineqs]
+    restricted = [primitive([vdot(a, b) for b in basis]) for a in ineqs]
     rays = set()
     for subset in itertools.combinations(range(len(restricted)), dimc - 1):
         rows = [restricted[i] for i in subset]
         cand = _kernel(rows, dimc)
         if len(cand) != 1:
             continue
-        v = cand[0]
+        v = primitive(cand[0])
         for w in (v, tuple(-x for x in v)):
-            if all(vdot(a, w) >= 0 for a in restricted):
+            if all(idot(a, w) >= 0 for a in restricted):
                 amb = zero_vec(ambient_dim)
                 for c, b in zip(w, basis):
                     amb = tuple(x + c * y for x, y in zip(amb, b))
@@ -191,5 +191,11 @@ def polyhedron_nonempty(equations, inequalities, ambient_dim: int) -> bool:
 
 
 def satisfies(point: Vec, equations, inequalities) -> bool:
-    return (all(vdot(vec(a), point) == b for a, b in equations)
-            and all(vdot(vec(a), point) >= b for a, b in inequalities))
+    """a . point = b for every equation, a . point >= b for every inequality.
+
+    The point is scaled to integers by its common denominator d > 0, and
+    each side compared as a . (d point) against d b.
+    """
+    ints, den = clear_denominators(point)
+    return (all(idot(a, ints) == b * den for a, b in equations)
+            and all(idot(a, ints) >= b * den for a, b in inequalities))

@@ -39,6 +39,23 @@ def parse_rational(s):
     raise ParseError(f"not a rational: {s!r}")
 
 
+def parse_int(s) -> int:
+    """An integer given as a JSON integer or an integer string.
+
+    Floats and booleans are refused rather than truncated.
+    """
+    if isinstance(s, bool):
+        raise ParseError(f"not an integer: {s!r}")
+    if isinstance(s, int):
+        return s
+    if isinstance(s, str):
+        try:
+            return int(s)
+        except ValueError as exc:
+            raise ParseError(f"not an integer: {s!r}") from exc
+    raise ParseError(f"not an integer: {s!r}")
+
+
 def parse_extended(s):
     if s == "-inf":
         return NEG_INF
@@ -85,9 +102,9 @@ def complex_to_dict(c: PolyhedralComplex) -> dict:
 
 def complex_from_dict(data) -> PolyhedralComplex:
     try:
-        ambient = int(data["ambient_dim"])
+        ambient = parse_int(data["ambient_dim"])
         raw_cells = list(data["maximal_cells"])
-        tropical = {int(i) - 1 for i in data.get("tropical_coords", [])}
+        tropical = {parse_int(i) - 1 for i in data.get("tropical_coords", [])}
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad complex object: {exc}") from exc
     if any(i < 0 or i >= ambient for i in tropical):
@@ -99,7 +116,7 @@ def complex_from_dict(data) -> PolyhedralComplex:
                      for v in entry["vertices"]]
             rays = [[parse_rational(x) for x in r]
                     for r in entry.get("rays", [])]
-            weight = int(entry.get("weight", 1))
+            weight = parse_int(entry.get("weight", 1))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad cell entry: {exc}") from exc
         try:
@@ -150,8 +167,8 @@ def cellsheaf_from_dict(data) -> CellularSheafDatum:
     index = {}
     for entry in raw_cells:
         try:
-            cell = SheafCell(str(entry["id"]), int(entry["dim"]),
-                             int(entry["space_dim"]))
+            cell = SheafCell(str(entry["id"]), parse_int(entry["dim"]),
+                             parse_int(entry["space_dim"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad cell entry: {exc}") from exc
         if cell.id in index:
@@ -183,7 +200,7 @@ def plfunction_from_dict(data, reference=None) -> PLFunction:
     if "terms" in data:
         try:
             terms = [(parse_rational(t["coeff"]),
-                      tuple(int(e) for e in t["exponents"]))
+                      tuple(parse_int(e) for e in t["exponents"]))
                      for t in data["terms"]]
             mode = data.get("mode", "max")
         except (KeyError, TypeError, ValueError) as exc:
@@ -196,7 +213,7 @@ def plfunction_from_dict(data, reference=None) -> PLFunction:
         per_facet = {}
         for entry in data["per_facet"]:
             try:
-                idx = int(entry["cell_id"])
+                idx = parse_int(entry["cell_id"])
                 lin = [parse_rational(x) for x in entry["linear"]]
                 const = parse_rational(entry["constant"])
             except (KeyError, TypeError, ValueError) as exc:
@@ -218,20 +235,20 @@ def load_plfunction(path, reference=None) -> PLFunction:
 
 def superform_from_dict(data) -> PolySuperform:
     try:
-        ambient = int(data["ambient_dim"])
-        p = int(data["p"])
-        q = int(data["q"])
+        ambient = parse_int(data["ambient_dim"])
+        p = parse_int(data["p"])
+        q = parse_int(data["q"])
         raw_terms = data["terms"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad superform object: {exc}") from exc
     terms = {}
     for entry in raw_terms:
         try:
-            k = tuple(int(i) - 1 for i in entry["K"])
-            l = tuple(int(i) - 1 for i in entry["L"])
+            k = tuple(parse_int(i) - 1 for i in entry["K"])
+            l = tuple(parse_int(i) - 1 for i in entry["L"])
             poly_terms = {}
             for t in entry["poly"]:
-                mono = tuple(int(e) for e in t["exponents"])
+                mono = tuple(parse_int(e) for e in t["exponents"])
                 poly_terms[mono] = poly_terms.get(mono, Fraction(0)) + \
                     parse_rational(t["coeff"])
             poly = Poly(ambient, poly_terms)

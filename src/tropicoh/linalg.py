@@ -20,7 +20,7 @@ Mat = tuple[Vec, ...]
 
 
 def vec(entries) -> Vec:
-    return tuple(Fraction(e) for e in entries)
+    return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
 
 
 def mat(rows) -> Mat:
@@ -52,6 +52,11 @@ def vdot(a: Vec, b: Vec) -> Fraction:
     return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
 
 
+def idot(a, b):
+    """Dot product that stays in int when both vectors are integer."""
+    return sum(x * y for x, y in zip(a, b, strict=True))
+
+
 def is_zero_vec(a: Vec) -> bool:
     return all(x == 0 for x in a)
 
@@ -73,74 +78,97 @@ def mat_shape(m: Mat) -> tuple[int, int]:
     return (len(m), len(m[0]) if m else 0)
 
 
+def clear_denominators(v) -> tuple[list[int], int]:
+    """The integer row d*v and the least common denominator d of v."""
+    v = [e if type(e) is int or type(e) is Fraction else Fraction(e)
+         for e in v]
+    den = math.lcm(*(f.denominator for f in v))
+    return [f.numerator * (den // f.denominator) for f in v], den
+
+
 def primitive(v) -> tuple[int, ...]:
     """Scale a rational vector to a primitive integer vector.
 
     The sign is kept: the result is a positive multiple of the input.
     Zero maps to zero.
     """
-    v = vec(v)
-    den = math.lcm(*(f.denominator for f in v)) if v else 1
-    ints = [int(f * den) for f in v]
-    g = math.gcd(*ints) if ints else 0
-    if g == 0:
+    ints, _ = clear_denominators(v)
+    g = math.gcd(*ints)
+    if g <= 1:
         return tuple(ints)
     return tuple(x // g for x in ints)
 
 
 def det(m: Mat) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination."""
+    """Determinant by Bareiss fraction-free elimination.
+
+    Each row is scaled to integers by its common denominator; every
+    division in the elimination is exact.
+    """
     n = len(m)
     if n == 0:
         return Fraction(1)
     if any(len(r) != n for r in m):
         raise DimensionError("determinant of a non-square matrix")
-    rows = [list(r) for r in m]
+    rows = []
+    scale = 1
+    for r in m:
+        ints, den = clear_denominators(r)
+        rows.append(ints)
+        scale *= den
     sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
+    prev = 1
+    for k in range(n):
+        if rows[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if rows[r][k] != 0), None)
+            if swap is None:
+                return Fraction(0)
+            rows[k], rows[swap] = rows[swap], rows[k]
             sign = -sign
-        pv = rows[col][col]
-        result *= pv
-        for r in range(col + 1, n):
-            if rows[r][col] != 0:
-                factor = rows[r][col] / pv
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return result * sign
+        pk, top = rows[k][k], rows[k]
+        for i in range(k + 1, n):
+            row = rows[i]
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pk * row[j] - f * top[j]) // prev
+        prev = pk
+    return Fraction(sign * rows[-1][-1], scale)
 
 
 def rref(rows) -> tuple[list[Vec], list[int]]:
     """Reduced row echelon form.
 
     Returns (nonzero rows with leading 1s, pivot column indices).
+    Eliminates on primitive integer rows (each new row is
+    pv*row - f*pivot_row divided by its gcd) and divides by the pivots
+    once at the end; the reduced form of a row space is unique, so this
+    is the same answer as elimination over Q.
     """
-    work = [list(vec(r)) for r in rows]
+    work = [primitive(r) for r in rows]
     if not work:
         return [], []
-    ncols = len(work[0])
+    nrows, ncols = len(work), len(work[0])
     pivots: list[int] = []
-    rank = 0
     for col in range(ncols):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, nrows) if work[r][col] != 0),
+                     None)
         if pivot is None:
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
-        pv = work[rank][col]
-        work[rank] = [x / pv for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[rank])]
+        top = work[rank]
+        pv = top[col]
+        for r in range(nrows):
+            f = work[r][col]
+            if f != 0 and r != rank:
+                row = [pv * x - f * y for x, y in zip(work[r], top)]
+                g = math.gcd(*row)
+                work[r] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
-        rank += 1
-        if rank == len(work):
+        if len(pivots) == nrows:
             break
-    return [tuple(r) for r in work[:rank]], pivots
+    return ([tuple(Fraction(x, row[pc]) for x in row)
+             for row, pc in zip(work, pivots)], pivots)
 
 
 def solve(a_cols: list[Vec], target: Vec):
@@ -338,7 +366,7 @@ def hermite_normal_form(rows) -> list[tuple[int, ...]]:
         j = next(i for i, x in enumerate(r) if x != 0)
         if r[j] < 0:
             r[:] = [-x for x in r]
-    for i in range(len(basis) - 1, -1, -1):
+    for i in range(len(basis)):
         j = next(k for k, x in enumerate(basis[i]) if x != 0)
         p = basis[i][j]
         for up in range(i):

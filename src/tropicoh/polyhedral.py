@@ -24,6 +24,7 @@ from .linalg import (
     Subspace,
     Vec,
     det,
+    idot,
     is_zero_vec,
     primitive,
     solve,
@@ -172,13 +173,12 @@ class Polyhedron:
             return False
         eqs, ineqs = self.hrep
         for v in other.vertices:
-            if not convex.satisfies(vec(v), eqs, ineqs):
+            if not convex.satisfies(v, eqs, ineqs):
                 return False
         for r in other.rays:
-            r = vec(r)
-            if any(vdot(vec(a), r) != 0 for a, _ in eqs):
+            if any(idot(a, r) != 0 for a, _ in eqs):
                 return False
-            if any(vdot(vec(a), r) < 0 for a, _ in ineqs):
+            if any(idot(a, r) < 0 for a, _ in ineqs):
                 return False
         return True
 
@@ -231,9 +231,9 @@ def faces(p: Polyhedron) -> list[Polyhedron]:
         q = frontier.pop()
         eqs, ineqs = q.hrep
         for a, b in ineqs:
-            a = vec(a)
-            tight_verts = [v for v in q.vertices if vdot(a, v) == b]
-            tight_rays = [r for r in q.rays if vdot(a, vec(r)) == 0]
+            tight_verts = [v for v in q.vertices
+                           if convex.satisfies(v, [(a, b)], ())]
+            tight_rays = [r for r in q.rays if idot(a, r) == 0]
             if not tight_verts:
                 continue
             f = Polyhedron(p.ambient_dim, tight_verts, tight_rays,
@@ -350,16 +350,11 @@ def intersect(a: Polyhedron, b: Polyhedron):
 def _tight_face(p: Polyhedron, sub: Polyhedron) -> Polyhedron:
     """The smallest face of p containing the subset sub of p."""
     eqs, ineqs = p.hrep
-    tight = []
-    for a, b in ineqs:
-        a = vec(a)
-        if all(vdot(a, v) == b for v in sub.vertices) and \
-                all(vdot(a, vec(r)) == 0 for r in sub.rays):
-            tight.append((a, b))
-    verts = [v for v in p.vertices
-             if all(vdot(a, v) == b for a, b in tight)]
-    rays = [r for r in p.rays
-            if all(vdot(a, vec(r)) == 0 for a, _ in tight)]
+    tight = [(a, b) for a, b in ineqs
+             if all(convex.satisfies(v, [(a, b)], ()) for v in sub.vertices)
+             and all(idot(a, r) == 0 for r in sub.rays)]
+    verts = [v for v in p.vertices if convex.satisfies(v, tight, ())]
+    rays = [r for r in p.rays if all(idot(a, r) == 0 for a, _ in tight)]
     return Polyhedron(p.ambient_dim, verts, rays, p.sedentarity)
 
 

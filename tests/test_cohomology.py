@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from tropicoh.cohomology import (
+    COSHEAF,
     SHEAF,
     BettiTable,
     CellularSheafDatum,
@@ -324,6 +325,24 @@ def test_noncommuting_diamond_rejected():
     maps = {(0, 1): one, (0, 2): one, (1, 3): one, (2, 3): two}
     with pytest.raises(ValidationError):
         CellularSheafDatum(cells, maps, SHEAF)
+
+
+def test_noncommuting_cosheaf_rejected_and_transposes_stay_valid():
+    # A datum built from outside is checked in either direction; transpose()
+    # skips the re-check because transposing keeps every diamond commuting.
+    cells = [SheafCell("p", 0, 1), SheafCell("a", 1, 1), SheafCell("b", 1, 1),
+             SheafCell("t", 2, 1)]
+    one = ((F(1),),)
+    two = ((F(2),),)
+    maps = {(0, 1): one, (0, 2): one, (1, 3): one, (2, 3): two}
+    with pytest.raises(ValidationError, match="non-commuting diamond"):
+        CellularSheafDatum(cells, maps, COSHEAF)
+    c = product(tropical_line(), 1, tropical=True)
+    for p in range(c.n + 1):
+        sheaf = build_sheaf(c, p)
+        assert sheaf.direction == SHEAF
+        sheaf._validate()
+        sheaf.transpose()._validate()
 
 
 def test_three_middle_cells_admit_no_signing():

@@ -113,3 +113,17 @@ def test_no_module_level_dicts():
         held = [name for name, value in vars(module).items()
                 if isinstance(value, dict) and not name.startswith("__")]
         assert not held, f"tropicoh.{info.name} holds dicts {held}"
+
+
+def test_exact_kernel_returns_fractions():
+    # The kernel eliminates on integer rows internally; an int leaking out
+    # would hash equal to its Fraction but could change canonical output.
+    c = product(tropical_line(), 1, tropical=True)
+    spaces = []
+    for i, cell in enumerate(c.cells):
+        eqs, ineqs = cell.key[2], cell.key[3]
+        assert all(type(b) is F for _, b in list(eqs) + list(ineqs))
+        assert all(type(x) is F for v in cell.vertices for x in v)
+        spaces.append(cell.tangent)
+        spaces.extend(multitangent_space(c, i, p) for p in range(c.n + 1))
+    assert all(type(x) is F for s in spaces for row in s.basis for x in row)

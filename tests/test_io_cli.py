@@ -232,6 +232,11 @@ LINE = {"ambient_dim": 2, "maximal_cells": [
     for r in (["-1", "0"], ["0", "-1"], ["1", "1"])]}
 
 
+FORM = {"ambient_dim": 2, "p": 1, "q": 0,
+        "terms": [{"K": [1], "L": [],
+                   "poly": [{"coeff": "1", "exponents": [1, 0]}]}]}
+
+
 @pytest.mark.parametrize("complex_data, form_data", [
     (dict(LINE, tropical_coords=["x"]), None),
     (dict(LINE, maximal_cells=[{"vertices": [["0", "0"]], "weight": "x"}]),
@@ -240,7 +245,20 @@ LINE = {"ambient_dim": 2, "maximal_cells": [
     (LINE, {"ambient_dim": 2, "p": 1, "q": 0,
             "terms": [{"K": [1], "L": [],
                        "poly": [{"coeff": "1", "exponents": [1]}]}]}),
-], ids=["tropical-coord", "weight", "maximal-cells", "monomial-length"])
+    (dict(LINE, tropical_coords=[1.5]), None),
+    (dict(LINE, maximal_cells=[{"vertices": [["0", "0"]], "weight": 2.7}]),
+     None),
+    (dict(LINE, maximal_cells=[{"vertices": [["0", "0"]], "weight": True}]),
+     None),
+    (dict(LINE, ambient_dim=2.9), None),
+    (LINE, dict(FORM, p=1.0)),
+    (LINE, dict(FORM, terms=[dict(FORM["terms"][0], K=[1.5])])),
+    (LINE, dict(FORM, terms=[dict(FORM["terms"][0], poly=[
+        {"coeff": "1", "exponents": [0.5, 0]}])])),
+], ids=["tropical-coord", "weight", "maximal-cells", "monomial-length",
+        "tropical-coord-float", "weight-float", "weight-bool",
+        "ambient-dim-float", "form-degree-float", "form-index-float",
+        "form-exponent-float"])
 def test_cli_malformed_input_is_a_parse_error(tmp_path, capsys, complex_data,
                                                form_data):
     path = tmp_path / "complex.json"
@@ -250,6 +268,37 @@ def test_cli_malformed_input_is_a_parse_error(tmp_path, capsys, complex_data,
         form = tmp_path / "form.json"
         form.write_text(json.dumps(form_data))
         args += ["--form", str(form)]
+    code, out = run_cli(args, capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == "parse"
+
+
+SHEAF_DATA = {"cells": [{"id": "a", "dim": 0, "space_dim": 1},
+                        {"id": "e", "dim": 1, "space_dim": 1}],
+              "relations": [{"from": "a", "to": "e", "matrix": [[1]]}]}
+R1 = {"ambient_dim": 1, "maximal_cells": [
+    {"vertices": [["0"]], "rays": [r]} for r in (["1"], ["-1"])]}
+
+
+@pytest.mark.parametrize("verb, data", [
+    ("cellsheaf-betti", dict(SHEAF_DATA, cells=[
+        {"id": "a", "dim": 0.5, "space_dim": 1}, SHEAF_DATA["cells"][1]])),
+    ("cellsheaf-betti", dict(SHEAF_DATA, cells=[
+        {"id": "a", "dim": 0, "space_dim": True}, SHEAF_DATA["cells"][1]])),
+    ("modify", {"terms": [{"coeff": 0, "exponents": [0.5]}]}),
+    ("modify", {"per_facet": [{"cell_id": 1.0, "linear": [0],
+                               "constant": 0}]}),
+], ids=["sheaf-dim", "sheaf-space-dim", "exponent", "cell-id"])
+def test_cli_non_integer_field_is_a_parse_error(tmp_path, capsys, verb,
+                                                 data):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(data))
+    if verb == "modify":
+        complex_path = tmp_path / "r1.json"
+        complex_path.write_text(json.dumps(R1))
+        args = [verb, str(complex_path), str(path)]
+    else:
+        args = [verb, str(path)]
     code, out = run_cli(args, capsys)
     assert code == 2
     assert json.loads(out)["error"] == "parse"

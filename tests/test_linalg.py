@@ -1,10 +1,13 @@
 """Exact linear algebra: frozen oracles and structural properties."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tropicoh.errors import CodimensionError, DimensionError
 from tropicoh.linalg import (
@@ -294,3 +297,191 @@ def test_primitive():
     assert primitive([F(2, 3), F(4, 3)]) == (1, 2)
     assert primitive([-2, -4]) == (-1, -2)
     assert primitive([0, 0]) == (0, 0)
+
+
+# Integer elimination against the elimination over Q ------------------------
+#
+# The oracles are the Fraction Gauss-Jordan and Gaussian elimination that
+# the integer kernel replaced; reduced echelon form is unique, so both must
+# give the same rows, pivots and determinants.
+
+
+def _oracle_rref(rows):
+    work = [[F(x) for x in r] for r in rows]
+    if not work:
+        return [], []
+    ncols = len(work[0])
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0),
+                     None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        pv = work[rank][col]
+        work[rank] = [x / pv for x in work[rank]]
+        for r in range(len(work)):
+            if r != rank and work[r][col] != 0:
+                factor = work[r][col]
+                work[r] = [x - factor * y for x, y in zip(work[r], work[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == len(work):
+            break
+    return [tuple(r) for r in work[:rank]], pivots
+
+
+def _oracle_kernel(rows, ncols):
+    red, pivots = _oracle_rref(rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [F(0)] * ncols
+        v[fc] = F(1)
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[fc]
+        basis.append(tuple(v))
+    return _oracle_rref(basis)[0]
+
+
+def _oracle_det(m):
+    n = len(m)
+    rows = [[F(x) for x in r] for r in m]
+    sign = 1
+    result = F(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            return F(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            sign = -sign
+        pv = rows[col][col]
+        result *= pv
+        for r in range(col + 1, n):
+            if rows[r][col] != 0:
+                factor = rows[r][col] / pv
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return result * sign
+
+
+# Negative entries, zeros, and denominators that do not share factors.
+_entries = st.one_of(
+    st.integers(-9, 9),
+    st.builds(F, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 5, 6, 9])))
+
+
+@st.composite
+def _rational_rows(draw, square=False):
+    """Rows of one length: single columns, zero rows and repeated rows
+    included; without `square`, also the empty matrix."""
+    ncols = draw(st.integers(1, 5))
+    nrows = ncols if square else draw(st.integers(0, 5))
+    rows = [draw(st.lists(_entries, min_size=ncols, max_size=ncols))
+            for _ in range(nrows)]
+    if rows and draw(st.booleans()):
+        rows[draw(st.integers(0, nrows - 1))] = [0] * ncols
+    if nrows > 1 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, nrows - 1), min_size=2,
+                             max_size=2, unique=True))
+        rows[i] = list(rows[j])
+    return ncols, rows
+
+
+def _all_fractions(rows):
+    return all(type(x) is F for row in rows for x in row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_rows())
+def test_rref_matches_rational_elimination(shape_rows):
+    _, rows = shape_rows
+    red, pivots = rref(rows)
+    assert (red, pivots) == _oracle_rref(rows)
+    assert _all_fractions(red)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_rows())
+def test_kernel_basis_matches_rational_elimination(shape_rows):
+    ncols, rows = shape_rows
+    m = mat(rows) if rows else ()
+    basis = kernel_basis(m)
+    assert basis == _oracle_kernel(rows, ncols if rows else 0)
+    assert _all_fractions(basis)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_rows(square=True))
+def test_det_matches_rational_elimination(shape_rows):
+    _, rows = shape_rows
+    d = det(mat(rows))
+    assert d == _oracle_det(rows)
+    assert type(d) is F
+
+
+def test_det_of_empty_matrix():
+    assert det(()) == 1 and type(det(())) is F
+
+
+# Integer normal forms -------------------------------------------------------
+
+
+@st.composite
+def _integer_rows(draw):
+    ncols = draw(st.integers(1, 4))
+    nrows = draw(st.integers(1, 4))
+    return [draw(st.lists(st.integers(-12, 12), min_size=ncols,
+                          max_size=ncols)) for _ in range(nrows)]
+
+
+def _determinantal_divisor(rows, k):
+    """gcd of all k x k minors: the same for every basis of one lattice."""
+    g = 0
+    for rs in itertools.combinations(range(len(rows)), k):
+        for cs in itertools.combinations(range(len(rows[0])), k):
+            g = math.gcd(g, int(det(mat([[rows[r][c] for c in cs]
+                                         for r in rs]))))
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(_integer_rows())
+@example([[0, 2, 0], [1, 0, 1], [1, 1, 0]])  # reduced above pivots in order
+def test_hnf_idempotent_and_same_lattice(rows):
+    hnf = hermite_normal_form(rows)
+    assert hermite_normal_form(hnf) == hnf
+    k = len(hnf)
+    assert k == len(rref(rows)[1])
+    # Every input row has integer coordinates in the HNF rows ...
+    for row in rows:
+        coords = solve([vec(h) for h in hnf], vec(row))
+        assert coords is not None
+        assert all(c.denominator == 1 for c in coords)
+    # ... and the two lattices have the same covolume, so they are equal.
+    if k:
+        assert _determinantal_divisor(hnf, k) == \
+            _determinantal_divisor(rows, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_integer_rows())
+def test_snf_unimodular_and_divisibility_chain(rows):
+    u, d, v = smith_normal_form(rows)
+    assert mat_mul(mat_mul(u, mat(rows)), v) == d
+    assert abs(det(u)) == 1 and abs(det(v)) == 1
+    diag = [d[i][i] for i in range(min(mat_shape(d)))]
+    assert all(x >= 0 for x in diag)
+    for a, b in zip(diag, diag[1:]):
+        assert (b % a == 0) if a != 0 else b == 0
+    assert all(d[i][j] == 0 for i in range(len(d))
+               for j in range(len(d[0])) if i != j)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rational_rows())
+def test_lattice_saturation_idempotent(shape_rows):
+    ncols, rows = shape_rows
+    once = Lattice.from_subspace(Subspace(ncols, rows))
+    assert once.span() == Subspace(ncols, rows)
+    assert Lattice.from_subspace(once.span()) == once
