@@ -55,7 +55,10 @@ def _load_matroid_arg(args):
         r, n = args.uniform
         return uniform_matroid(r, n)
     if args.graph:
-        edges = [tuple(int(x) for x in e.split(",")) for e in args.graph]
+        edges = [tuple(tio.parse_int(x) for x in e.split(","))
+                 for e in args.graph]
+        if any(len(e) != 2 for e in edges):
+            raise ParseError("--graph edges are pairs U,V")
         return matroid_from({"graph": edges})
     if args.file:
         return tio.load_matroid(args.file)

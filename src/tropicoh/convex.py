@@ -162,8 +162,16 @@ def polyhedron_generators(equations, inequalities, ambient_dim: int):
 
     Returns (vertices, rays, lineality) or None when the set is empty.
     When the polyhedron is not pointed, `vertices` are base points on the
-    minimal faces rather than genuine 0-faces.
+    minimal faces rather than genuine 0-faces.  When every offset is zero
+    the set is a cone with apex 0: it is never empty, and its rays and
+    lineality come from `cone_rays` in the ambient space, without
+    homogenizing.
     """
+    if all(b == 0 for _, b in itertools.chain(equations, inequalities)):
+        lineality, rays = cone_rays([a for a, _ in inequalities],
+                                    [a for a, _ in equations], ambient_dim)
+        return ([zero_vec(ambient_dim)], [vec(r) for r in rays],
+                [vec(l) for l in lineality])
     homog_eqs = [tuple([-Fraction(b)] + list(vec(a))) for a, b in equations]
     homog_ineqs = [tuple([-Fraction(b)] + list(vec(a))) for a, b in inequalities]
     homog_ineqs.append(tuple([Fraction(1)] + [Fraction(0)] * ambient_dim))
@@ -184,10 +192,6 @@ def polyhedron_generators(equations, inequalities, ambient_dim: int):
     if not vertices_out:
         return None
     return vertices_out, rays_out, lin_out
-
-
-def polyhedron_nonempty(equations, inequalities, ambient_dim: int) -> bool:
-    return polyhedron_generators(equations, inequalities, ambient_dim) is not None
 
 
 def satisfies(point: Vec, equations, inequalities) -> bool:

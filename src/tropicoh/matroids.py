@@ -277,8 +277,9 @@ def matroidal_modification_triple(m: Matroid, e):
     return v, w, d, coordinate
 
 
-def all_matroids(ground_size: int, loopless=True):
-    """Every matroid on {0..ground_size-1}, by brute-force exchange check."""
+def all_matroids(ground_size: int):
+    """Every loopless matroid on {0..ground_size-1}, by brute-force exchange
+    check."""
     ground = tuple(range(ground_size))
     out = []
     for r in range(1, ground_size + 1):
@@ -290,7 +291,7 @@ def all_matroids(ground_size: int, loopless=True):
                 m = Matroid(ground, picks)
             except MatroidAxiomError:
                 continue
-            if loopless and not m.is_loopless():
+            if not m.is_loopless():
                 continue
             out.append(m)
     return out

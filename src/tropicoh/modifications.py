@@ -35,6 +35,7 @@ from .polyhedral import (
     PolyhedralComplex,
     build_complex,
     closure_in,
+    from_hrep,
     intersect,
     is_balanced,
     lattice_quotient,
@@ -118,16 +119,8 @@ class PLFunction:
                         diff = vscale(-1, diff)
                         bound = -bound
                     ineqs.append((diff, bound))
-                from .convex import polyhedron_generators
-                gen = polyhedron_generators(eqs, ineqs, w.ambient_dim)
-                if gen is None:
-                    continue
-                verts, rays, lin_part = gen
-                all_rays = list(rays) + list(lin_part) + \
-                    [tuple(-x for x in l) for l in lin_part]
-                piece = Polyhedron(w.ambient_dim, verts, all_rays,
-                                   cell.sedentarity)
-                if piece.dim != cell.dim or piece.key in seen:
+                piece = from_hrep(w.ambient_dim, eqs, ineqs, cell.sedentarity)
+                if piece is None or piece.dim != cell.dim or piece.key in seen:
                     continue
                 seen[piece.key] = True
                 out.append((piece, weight, lin, Fraction(coeff)))
@@ -423,19 +416,9 @@ def _subtract(regions, piece):
 
 
 def _halfspace_cut(region, a, b):
-    if region is None:
-        return None
-    from .convex import polyhedron_generators
-    eqs = list(region.hrep[0])
-    ineqs = list(region.hrep[1]) + [(a, b)]
-    gen = polyhedron_generators(eqs, ineqs, region.ambient_dim)
-    if gen is None:
-        return None
-    verts, rays, lin = gen
-    return Polyhedron(region.ambient_dim, verts,
-                      list(rays) + list(lin) +
-                      [tuple(-x for x in l) for l in lin],
-                      region.sedentarity)
+    """region cut by a . x >= b, or None if that is empty."""
+    return from_hrep(region.ambient_dim, region.hrep[0],
+                     region.hrep[1] + ((a, b),), region.sedentarity)
 
 
 def weighted_supports_equal(c1: PolyhedralComplex, c2: PolyhedralComplex

@@ -223,6 +223,21 @@ def vrep_to_hrep(p: Polyhedron):
     return list(p.hrep[1])
 
 
+def from_hrep(ambient_dim: int, equations, inequalities, sedentarity):
+    """The cell {x : a.x = b for equations, a.x >= b for inequalities}.
+
+    Returns None when the set is empty.  Every cell cut from inequalities
+    is built here; lineality directions become pairs of opposite rays.
+    """
+    gen = convex.polyhedron_generators(equations, inequalities, ambient_dim)
+    if gen is None:
+        return None
+    verts, rays, lin = gen
+    return Polyhedron(ambient_dim, verts,
+                      list(rays) + list(lin) + [vscale(-1, l) for l in lin],
+                      sedentarity)
+
+
 def faces(p: Polyhedron) -> list[Polyhedron]:
     """All faces of the same sedentarity, including p itself."""
     found = {p.key: p}
@@ -262,7 +277,7 @@ def stratum_piece(p: Polyhedron, extra: frozenset[int]):
             ineqs.append((vscale(-1, unit_vec(p.ambient_dim, i)), Fraction(1)))
         else:
             eqs.append((unit_vec(p.ambient_dim, i), Fraction(0)))
-    if not convex.polyhedron_nonempty(eqs, ineqs, p.ambient_dim):
+    if from_hrep(p.ambient_dim, eqs, ineqs, ()) is None:
         return None
     kill = set(extra)
     proj = lambda w: tuple(Fraction(0) if i in kill else Fraction(x)
@@ -273,78 +288,33 @@ def stratum_piece(p: Polyhedron, extra: frozenset[int]):
     return Polyhedron(p.ambient_dim, verts, rays, p.sedentarity | extra)
 
 
-def infinite_faces(p: Polyhedron, tropical_coords) -> list[Polyhedron]:
-    """Faces of strictly larger sedentarity along the tropical coordinates."""
+def _stratum_pieces(p: Polyhedron, tropical_coords):
+    """(extra, stratum piece or None) for every nonempty set `extra` of
+    tropical coordinates that are mobile in p."""
     allowed = sorted(set(tropical_coords) - p.sedentarity)
-    out = {}
     for k in range(1, len(allowed) + 1):
         for combo in itertools.combinations(allowed, k):
-            piece = stratum_piece(p, frozenset(combo))
-            if piece is None:
-                continue
-            for f in faces(piece):
-                out.setdefault(f.key, f)
+            extra = frozenset(combo)
+            yield extra, stratum_piece(p, extra)
+
+
+def infinite_faces(p: Polyhedron, tropical_coords) -> list[Polyhedron]:
+    """Faces of strictly larger sedentarity along the tropical coordinates."""
+    out = {}
+    for _, piece in _stratum_pieces(p, tropical_coords):
+        if piece is None:
+            continue
+        for f in faces(piece):
+            out.setdefault(f.key, f)
     return sorted(out.values(), key=Polyhedron.sort_key)
 
 
 def intersect(a: Polyhedron, b: Polyhedron):
-    """Intersection of two same-sedentarity polyhedra, or None if empty.
-
-    The vertex enumeration runs inside the intersection of the two affine
-    hulls, which is usually low-dimensional, rather than in the ambient.
-    """
+    """Intersection of two same-sedentarity polyhedra, or None if empty."""
     if a.sedentarity != b.sedentarity or a.ambient_dim != b.ambient_dim:
         return None
-    from .linalg import kernel_basis, mat, rref
-    r = a.ambient_dim
-    eq_rows = [tuple(list(vec(n)) + [off])
-               for n, off in list(a.hrep[0]) + list(b.hrep[0])]
-    normals = [row[:-1] for row in eq_rows]
-    # Particular point of the combined affine hull, if any.
-    if eq_rows:
-        red, pivots = rref(eq_rows)
-        if any(p == r for p in pivots):
-            return None  # inconsistent equations: hulls are disjoint
-        point = list(zero_vec(r))
-        for row, p in zip(red, pivots):
-            point[p] = row[-1]
-        point = tuple(point)
-        basis = kernel_basis(mat(normals))
-    else:
-        point = zero_vec(r)
-        basis = [unit_vec(r, i) for i in range(r)]
-    # Restrict all inequalities to point + span(basis).
-    rest = []
-    for n, c in list(a.hrep[1]) + list(b.hrep[1]):
-        n = vec(n)
-        coeffs = tuple(vdot(n, bv) for bv in basis)
-        bound = c - vdot(n, point)
-        if is_zero_vec(coeffs):
-            if bound > 0:
-                return None
-            continue
-        rest.append((coeffs, bound))
-    if is_zero_vec(point) and all(bound == 0 for _, bound in rest):
-        # Both sides are cones with a common apex: skip homogenization.
-        lin_t, rays_t = convex.cone_rays([c for c, _ in rest], [], len(basis))
-        verts_t = [tuple(Fraction(0) for _ in basis)]
-    else:
-        gen = convex.polyhedron_generators([], rest, len(basis))
-        if gen is None:
-            return None
-        verts_t, rays_t, lin_t = gen
-
-    def back(tvec, base):
-        out = list(base)
-        for c, bv in zip(tvec, basis):
-            for i in range(r):
-                out[i] += c * bv[i]
-        return tuple(out)
-
-    verts = [back(t, point) for t in verts_t]
-    rays = [back(t, zero_vec(r)) for t in list(rays_t) + list(lin_t) +
-            [tuple(-x for x in l) for l in lin_t]]
-    return Polyhedron(r, verts, rays, a.sedentarity)
+    return from_hrep(a.ambient_dim, a.hrep[0] + b.hrep[0],
+                     a.hrep[1] + b.hrep[1], a.sedentarity)
 
 
 def _tight_face(p: Polyhedron, sub: Polyhedron) -> Polyhedron:
@@ -523,8 +493,7 @@ def lattice_quotient(sigma: Polyhedron, tau: Polyhedron) -> Vec:
     return vec(lattice_quotient_primitive(sigma.lattice, tau.lattice, witness))
 
 
-def build_complex(maximal_cells, tropical_coords=(), validate=True
-                  ) -> PolyhedralComplex:
+def build_complex(maximal_cells, tropical_coords=()) -> PolyhedralComplex:
     """Face-close a list of (Polyhedron, weight) pairs into a complex.
 
     `tropical_coords` lists the coordinates compactified to -infinity;
@@ -569,17 +538,12 @@ def build_complex(maximal_cells, tropical_coords=(), validate=True
                 dominated.add(f.key)
             if f.key not in cells:
                 new.append(f)
-        if tropical:
-            # Stratum pieces live in a deeper group where they may well be
-            # maximal; only their own face pass marks their descendants.
-            allowed = sorted(set(tropical) - c.sedentarity)
-            for k in range(1, len(allowed) + 1):
-                for combo in itertools.combinations(allowed, k):
-                    extra = frozenset(combo)
-                    piece = stratum_piece(c, extra)
-                    pieces[(c.key, extra)] = piece
-                    if piece is not None and piece.key not in cells:
-                        new.append(piece)
+        # Stratum pieces live in a deeper group where they may well be
+        # maximal; only their own face pass marks their descendants.
+        for extra, piece in _stratum_pieces(c, tropical):
+            pieces[(c.key, extra)] = piece
+            if piece is not None and piece.key not in cells:
+                new.append(piece)
         for f in new:
             if f.key not in cells:
                 cells[f.key] = f
@@ -588,8 +552,7 @@ def build_complex(maximal_cells, tropical_coords=(), validate=True
     ordered = sorted(cells.values(), key=Polyhedron.sort_key)
     index = {c.key: i for i, c in enumerate(ordered)}
 
-    if validate:
-        _validate_intersections(ordered, dominated)
+    _validate_intersections(ordered, dominated)
 
     # Covering relations: containment with dimension difference one.
     def is_face(tau, sigma):

@@ -1,8 +1,10 @@
 """Cross-cutting spec invariants not tied to a single module."""
 
 import importlib
+import inspect
 import pkgutil
 from fractions import Fraction
+from pathlib import Path
 
 import tropicoh
 from tropicoh.cohomology import (
@@ -17,6 +19,7 @@ from tropicoh.polyhedral import (
     Polyhedron,
     build_complex,
     closure_in,
+    from_hrep,
     product,
 )
 
@@ -113,6 +116,20 @@ def test_no_module_level_dicts():
         held = [name for name, value in vars(module).items()
                 if isinstance(value, dict) and not name.startswith("__")]
         assert not held, f"tropicoh.{info.name} holds dicts {held}"
+
+
+def test_one_hrep_to_vrep_path():
+    # Cells cut from inequalities are built by polyhedral.from_hrep alone,
+    # so a change to vertex enumeration has one entry point to follow.
+    package = Path(tropicoh.__file__).parent
+    allowed = inspect.getsource(from_hrep).count("polyhedron_generators")
+    assert allowed == 1
+    for path in sorted(package.glob("*.py")):
+        if path.name == "convex.py":
+            continue
+        uses = path.read_text().count("polyhedron_generators")
+        expected = allowed if path.name == "polyhedral.py" else 0
+        assert uses == expected, f"{path.name} calls polyhedron_generators"
 
 
 def test_exact_kernel_returns_fractions():

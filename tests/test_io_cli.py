@@ -237,7 +237,7 @@ FORM = {"ambient_dim": 2, "p": 1, "q": 0,
                    "poly": [{"coeff": "1", "exponents": [1, 0]}]}]}
 
 
-@pytest.mark.parametrize("complex_data, form_data", [
+_BAD_STOKES_INPUTS = [
     (dict(LINE, tropical_coords=["x"]), None),
     (dict(LINE, maximal_cells=[{"vertices": [["0", "0"]], "weight": "x"}]),
      None),
@@ -255,20 +255,36 @@ FORM = {"ambient_dim": 2, "p": 1, "q": 0,
     (LINE, dict(FORM, terms=[dict(FORM["terms"][0], K=[1.5])])),
     (LINE, dict(FORM, terms=[dict(FORM["terms"][0], poly=[
         {"coeff": "1", "exponents": [0.5, 0]}])])),
-], ids=["tropical-coord", "weight", "maximal-cells", "monomial-length",
-        "tropical-coord-float", "weight-float", "weight-bool",
-        "ambient-dim-float", "form-degree-float", "form-index-float",
-        "form-exponent-float"])
+]
+_BAD_GRAPH_ARGS = [
+    ["bergman", "--graph", "a,b"],
+    ["bergman", "--graph", "0,1,2"],
+    ["os-dims", "--graph", "0,1", "1,x"],
+    ["os-dims", "--graph", "0,1", "1,2,0"],
+]
+
+
+@pytest.mark.parametrize(
+    "complex_data, form_data, argv",
+    [(c, f, None) for c, f in _BAD_STOKES_INPUTS]
+    + [(None, None, a) for a in _BAD_GRAPH_ARGS],
+    ids=["tropical-coord", "weight", "maximal-cells", "monomial-length",
+         "tropical-coord-float", "weight-float", "weight-bool",
+         "ambient-dim-float", "form-degree-float", "form-index-float",
+         "form-exponent-float", "bergman-graph-letters",
+         "bergman-graph-triple", "os-dims-graph-letters",
+         "os-dims-graph-triple"])
 def test_cli_malformed_input_is_a_parse_error(tmp_path, capsys, complex_data,
-                                               form_data):
-    path = tmp_path / "complex.json"
-    path.write_text(json.dumps(complex_data))
-    args = ["stokes", str(path)]
-    if form_data is not None:
-        form = tmp_path / "form.json"
-        form.write_text(json.dumps(form_data))
-        args += ["--form", str(form)]
-    code, out = run_cli(args, capsys)
+                                               form_data, argv):
+    if argv is None:
+        path = tmp_path / "complex.json"
+        path.write_text(json.dumps(complex_data))
+        argv = ["stokes", str(path)]
+        if form_data is not None:
+            form = tmp_path / "form.json"
+            form.write_text(json.dumps(form_data))
+            argv += ["--form", str(form)]
+    code, out = run_cli(argv, capsys)
     assert code == 2
     assert json.loads(out)["error"] == "parse"
 

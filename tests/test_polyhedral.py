@@ -3,9 +3,23 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from tropicoh import convex
 from tropicoh.errors import ComplexAxiomError
-from tropicoh.linalg import Subspace, vec
+from tropicoh.linalg import (
+    Subspace,
+    is_zero_vec,
+    kernel_basis,
+    mat,
+    rref,
+    unit_vec,
+    vdot,
+    vec,
+    vsub,
+    zero_vec,
+)
 from tropicoh.polyhedral import (
     NEG_INF,
     Polyhedron,
@@ -320,3 +334,145 @@ def test_diagonal_escape_complex():
     assert ((0, 1) in seds) and ((0,) in seds)
     for t, s in c.covers:
         assert c.cells[s].dim == c.cells[t].dim + 1
+
+
+def _oracle_intersect(a, b):
+    """Intersection computed inside the common affine hull.
+
+    The earlier implementation of `intersect`: the vertex enumeration runs
+    in coordinates of the intersection of the two affine hulls and is
+    mapped back, instead of on the stacked H-representations.
+    """
+    if a.sedentarity != b.sedentarity or a.ambient_dim != b.ambient_dim:
+        return None
+    r = a.ambient_dim
+    eq_rows = [tuple(list(vec(n)) + [off])
+               for n, off in list(a.hrep[0]) + list(b.hrep[0])]
+    if eq_rows:
+        red, pivots = rref(eq_rows)
+        if any(p == r for p in pivots):
+            return None
+        point = list(zero_vec(r))
+        for row, p in zip(red, pivots):
+            point[p] = row[-1]
+        point = tuple(point)
+        basis = kernel_basis(mat([row[:-1] for row in eq_rows]))
+    else:
+        point = zero_vec(r)
+        basis = [unit_vec(r, i) for i in range(r)]
+    rest = []
+    for n, c in list(a.hrep[1]) + list(b.hrep[1]):
+        coeffs = tuple(vdot(vec(n), bv) for bv in basis)
+        bound = c - vdot(vec(n), point)
+        if is_zero_vec(coeffs):
+            if bound > 0:
+                return None
+            continue
+        rest.append((coeffs, bound))
+    if is_zero_vec(point) and all(bound == 0 for _, bound in rest):
+        lin_t, rays_t = convex.cone_rays([c for c, _ in rest], [], len(basis))
+        verts_t = [zero_vec(len(basis))]
+    else:
+        gen = convex.polyhedron_generators([], rest, len(basis))
+        if gen is None:
+            return None
+        verts_t, rays_t, lin_t = gen
+
+    def back(tvec, base):
+        out = list(base)
+        for c, bv in zip(tvec, basis):
+            for i in range(r):
+                out[i] += c * bv[i]
+        return tuple(out)
+
+    verts = [back(t, point) for t in verts_t]
+    rays = [back(t, zero_vec(r)) for t in list(rays_t) + list(lin_t)
+            + [tuple(-x for x in l) for l in lin_t]]
+    return Polyhedron(r, verts, rays, a.sedentarity)
+
+
+_coord = st.integers(-2, 2)
+
+
+def _points(dim, fixed=None, size=(1, 3)):
+    """Integer points; `fixed` pins the last coordinate (a parallel plane)."""
+    free = dim if fixed is None else dim - 1
+    tail = [] if fixed is None else [fixed]
+    point = st.lists(_coord, min_size=free, max_size=free).map(
+        lambda xs: tuple(xs + tail))
+    return st.lists(point, min_size=size[0], max_size=size[1])
+
+
+@st.composite
+def _cell_pairs(draw):
+    """Pairs of cells of the shapes where the two intersect paths differ."""
+    kind = draw(st.sampled_from(
+        ["apex", "lineality", "parallel", "point", "polytope"]))
+    dim = draw(st.integers(2, 3))
+    if kind == "apex":
+        # Cones with a common apex: the shortcut without homogenizing.
+        cells = [Polyhedron(dim, [zero_vec(dim)], draw(_points(dim)))
+                 for _ in range(2)]
+    elif kind == "lineality":
+        line = draw(_points(dim, size=(1, 1)))[0]
+        assume(any(line))
+        cells = [Polyhedron(dim, draw(_points(dim)),
+                            draw(_points(dim, size=(0, 2)))
+                            + [line, tuple(-x for x in line)])
+                 for _ in range(2)]
+    elif kind == "parallel":
+        # Cells in planes x_last = c; different c give disjoint hulls.
+        cells = [Polyhedron(dim, draw(_points(dim, fixed=level)),
+                            draw(_points(dim, fixed=0, size=(0, 2))))
+                 for level in draw(st.lists(st.integers(0, 1),
+                                            min_size=2, max_size=2))]
+    elif kind == "point":
+        cells = [Polyhedron(dim, draw(_points(dim, size=(1, 1)))),
+                 Polyhedron(dim, draw(_points(dim)),
+                            draw(_points(dim, size=(0, 2))))]
+    else:
+        cells = [Polyhedron(dim, draw(_points(dim, size=(1, 4))))
+                 for _ in range(2)]
+    return cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cell_pairs())
+def test_intersect_matches_hull_restricted_oracle(pair):
+    a, b = pair
+    new, old = intersect(a, b), _oracle_intersect(a, b)
+    assert (new is None) == (old is None)
+    if new is not None:
+        assert new.key == old.key
+
+
+@st.composite
+def _cone_and_shift(draw):
+    dim = draw(st.integers(1, 3))
+    vector = st.lists(_coord, min_size=dim, max_size=dim).map(tuple)
+    eqs = draw(st.lists(vector, max_size=1))
+    ineqs = draw(st.lists(vector, max_size=4))
+    shift = vec(draw(vector))
+    # Nonzero offsets after the shift, so the homogenized path runs.
+    assume(any(vdot(vec(a), shift) != 0 for a in eqs + ineqs))
+    return dim, eqs, ineqs, shift
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cone_and_shift())
+def test_cone_generators_commute_with_translation(case):
+    dim, eqs, ineqs, shift = case
+    zero = F(0)
+    verts, rays, lin = convex.polyhedron_generators(
+        [(a, zero) for a in eqs], [(a, zero) for a in ineqs], dim)
+    moved = convex.polyhedron_generators(
+        [(a, vdot(vec(a), shift)) for a in eqs],
+        [(a, vdot(vec(a), shift)) for a in ineqs], dim)
+    assert verts == [zero_vec(dim)]
+    assert moved is not None
+    assert moved[1:] == (rays, lin)
+    # The base point of a cone with lineality is found up to the lineality.
+    assert len(moved[0]) == 1
+    assert Subspace(dim, lin).contains(vsub(moved[0][0], shift))
+    if not lin:
+        assert moved[0] == [shift]
