@@ -43,13 +43,6 @@ def _emit(report, out_path=None):
             fh.write(text)
 
 
-def _tables_dict(c):
-    ordinary, compact = betti_tables(c)
-    return {"ordinary": ordinary.as_dict(), "compact": compact.as_dict(),
-            "ordinary_text": ordinary.render(),
-            "compact_text": compact.render()}
-
-
 def _load_matroid_arg(args):
     if args.uniform:
         r, n = args.uniform

@@ -22,6 +22,7 @@ from .linalg import (
     Subspace,
     mat,
     mat_mul,
+    p_subsets,
     subspace_sum,
     vdot,
     vec,
@@ -153,7 +154,6 @@ def inclusion_map(c: PolyhedralComplex, tau_index: int, sigma_index: int,
     the stratum projection (killing wedge coordinates that meet the
     escaping directions) and then includes.
     """
-    from .linalg import p_subsets, solve
     tau = c.cells[tau_index]
     sigma = c.cells[sigma_index]
     f_tau = multitangent_space(c, tau_index, p)

@@ -146,6 +146,12 @@ def matroid_to_dict(m: Matroid) -> dict:
 def load_matroid(path) -> Matroid:
     data = _load_json(path)
     try:
+        if "uniform" in data:
+            data = {"uniform": [parse_int(x) for x in data["uniform"]]}
+        elif "graph" not in data:
+            data = {"ground_size": parse_int(data["ground_size"]),
+                    "bases": [[parse_int(x) for x in b]
+                              for b in data["bases"]]}
         return matroid_from(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad matroid object: {exc}") from exc
@@ -264,7 +270,3 @@ def superform_from_dict(data) -> PolySuperform:
 
 def load_superform(path) -> PolySuperform:
     return superform_from_dict(_load_json(path))
-
-
-def betti_to_dict(table) -> dict:
-    return table.as_dict()

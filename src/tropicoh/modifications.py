@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .convex import satisfies
 from .errors import (
     BalancingRequiredError,
     IntegralityError,
@@ -23,7 +24,6 @@ from .linalg import (
     is_zero_vec,
     solve,
     unit_vec,
-    vadd,
     vdot,
     vec,
     vscale,
@@ -38,7 +38,7 @@ from .polyhedral import (
     from_hrep,
     intersect,
     is_balanced,
-    lattice_quotient,
+    normal_sum,
 )
 
 MAX = "max"
@@ -195,18 +195,11 @@ def complete_modification(w: PolyhedralComplex, p: PLFunction
     graph = graph_complex(w, p)
     r1 = graph.ambient_dim
     e_last = unit_vec(r1, r1 - 1)
-    n = graph.n
     hung = []
-    for t in graph.cells_of_dim(n - 1):
+    for t in graph.cells_of_dim(graph.n - 1):
         tau = graph.cells[t]
-        total = zero_vec(r1)
-        for s in graph.covers_of(t):
-            sigma = graph.cells[s]
-            if sigma.dim != n or sigma.sedentarity != tau.sedentarity:
-                continue
-            nu = lattice_quotient(sigma, tau)
-            total = vadd(total, vscale(graph.weights.get(s, 1), nu))
-        if tau.lattice.contains(total):
+        total = normal_sum(graph, t)
+        if total is None or tau.lattice.contains(total):
             continue
         cols = [vec(b) for b in tau.tangent.basis] + [e_last]
         sol = solve(cols, total)
@@ -308,13 +301,8 @@ def project_modification(v: PolyhedralComplex, coordinate: int
         cell = v.cells[f]
         weight = v.weights.get(f, 1)
         if cell.tangent.contains(e_i):
-            from .convex import cone_facets, satisfies
-            eqs, normals = cone_facets(cell.rays, r)
-            eqs = [(e, 0) for e in eqs]
-            normals = [(a, 0) for a in normals]
-            up = satisfies(e_i, eqs, normals)
-            down = satisfies(vscale(-1, e_i), eqs, normals)
-            if up and down:
+            rec = cell.recession_hrep
+            if satisfies(e_i, *rec) and satisfies(vscale(-1, e_i), *rec):
                 raise NotAModificationError(
                     f"fibers of {cell} are full lines")
             verticals.append((cell, weight))

@@ -14,11 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import convex
-from .errors import (
-    BalancingRequiredError,
-    ComplexAxiomError,
-    PurityError,
-)
+from .errors import ComplexAxiomError, PurityError
 from .linalg import (
     Lattice,
     Subspace,
@@ -121,6 +117,14 @@ class Polyhedron:
         if self._hrep is None:
             self._hrep = _hrep_of(self._signature())
         return self._hrep
+
+    @property
+    def recession_hrep(self):
+        """(equations, inequalities) of the recession cone: the H-rep of
+        the cell with every offset set to zero."""
+        eqs, ineqs = self.hrep
+        return (tuple((a, 0) for a, _ in eqs),
+                tuple((a, 0) for a, _ in ineqs))
 
     @property
     def dim(self) -> int:
@@ -269,9 +273,7 @@ def stratum_piece(p: Polyhedron, extra: frozenset[int]):
     if not extra or extra & p.sedentarity:
         raise ValueError("extra coordinates must be new and nonempty")
     mobile = [i for i in range(p.ambient_dim) if i not in p.sedentarity]
-    rec_eqs, rec_normals = convex.cone_facets(p.rays, p.ambient_dim)
-    eqs = [(vec(e), Fraction(0)) for e in rec_eqs]
-    ineqs = [(vec(n), Fraction(0)) for n in rec_normals]
+    eqs, ineqs = (list(h) for h in p.recession_hrep)
     for i in mobile:
         if i in extra:
             ineqs.append((vscale(-1, unit_vec(p.ambient_dim, i)), Fraction(1)))
@@ -289,21 +291,20 @@ def stratum_piece(p: Polyhedron, extra: frozenset[int]):
 
 
 def _stratum_pieces(p: Polyhedron, tropical_coords):
-    """(extra, stratum piece or None) for every nonempty set `extra` of
-    tropical coordinates that are mobile in p."""
+    """The stratum pieces of p along every nonempty set of tropical
+    coordinates that are mobile in p and along which p reaches infinity."""
     allowed = sorted(set(tropical_coords) - p.sedentarity)
     for k in range(1, len(allowed) + 1):
         for combo in itertools.combinations(allowed, k):
-            extra = frozenset(combo)
-            yield extra, stratum_piece(p, extra)
+            piece = stratum_piece(p, frozenset(combo))
+            if piece is not None:
+                yield piece
 
 
 def infinite_faces(p: Polyhedron, tropical_coords) -> list[Polyhedron]:
     """Faces of strictly larger sedentarity along the tropical coordinates."""
     out = {}
-    for _, piece in _stratum_pieces(p, tropical_coords):
-        if piece is None:
-            continue
+    for piece in _stratum_pieces(p, tropical_coords):
         for f in faces(piece):
             out.setdefault(f.key, f)
     return sorted(out.values(), key=Polyhedron.sort_key)
@@ -366,9 +367,6 @@ class PolyhedralComplex:
 
     def covers_of(self, i: int) -> list[int]:
         return [s for t, s in self.covers if t == i]
-
-    def covered_by(self, i: int) -> list[int]:
-        return [t for t, s in self.covers if s == i]
 
     def cofaces(self, i: int) -> set[int]:
         """All j with cells[i] a face of cells[j], including i."""
@@ -513,38 +511,30 @@ def build_complex(maximal_cells, tropical_coords=()) -> PolyhedralComplex:
     for c, _ in entries:
         if c.ambient_dim != ambient:
             raise ComplexAxiomError("mixed ambient dimensions")
-    # Degenerate input: one maximal cell inside another.
-    for (a, _), (b, _) in itertools.combinations(entries, 2):
-        if a.key == b.key:
-            raise ComplexAxiomError("duplicate maximal cell")
-        if a.contains_polyhedron(b) or b.contains_polyhedron(a):
-            raise ComplexAxiomError(
-                f"maximal cell {b} is contained in {a}")
+    cells = {c.key: c for c, _ in entries}
+    if len(cells) < len(entries):
+        raise ComplexAxiomError("duplicate maximal cell")
 
-    cells: dict = {}
     dominated: set = set()  # keys that are proper faces of another cell
-    pieces: dict = {}  # (cell key, extra coordinates) -> stratum piece or None
-    work = []
-    for c, _ in entries:
-        if c.key not in cells:
-            cells[c.key] = c
-            work.append(c)
+    lower: dict = {}  # cell key -> keys of its faces one dimension down
+    work = list(cells.values())
+    listed = set(cells)
     while work:
         c = work.pop()
-        new = []
-        for f in faces(c):
-            # Same-sedentarity proper faces are dominated within their group.
-            if f.key != c.key:
+        below = lower[c.key] = []
+        # The faces of c's own sedentarity, then its stratum pieces: these
+        # live in a deeper group where they may well be maximal, and only
+        # their own face pass marks their descendants as dominated.
+        for f in itertools.chain(faces(c), _stratum_pieces(c, tropical)):
+            if f.sedentarity == c.sedentarity and f.key != c.key:
                 dominated.add(f.key)
-            if f.key not in cells:
-                new.append(f)
-        # Stratum pieces live in a deeper group where they may well be
-        # maximal; only their own face pass marks their descendants.
-        for extra, piece in _stratum_pieces(c, tropical):
-            pieces[(c.key, extra)] = piece
-            if piece is not None and piece.key not in cells:
-                new.append(piece)
-        for f in new:
+                # Degenerate input: one maximal cell inside another (one
+                # that is not a face of it fails the validation below).
+                if f.key in listed and c.key in listed:
+                    raise ComplexAxiomError(
+                        f"maximal cell {f} is contained in {c}")
+            if f.dim == c.dim - 1:
+                below.append(f.key)
             if f.key not in cells:
                 cells[f.key] = f
                 work.append(f)
@@ -552,30 +542,11 @@ def build_complex(maximal_cells, tropical_coords=()) -> PolyhedralComplex:
     ordered = sorted(cells.values(), key=Polyhedron.sort_key)
     index = {c.key: i for i, c in enumerate(ordered)}
 
+    # In a valid complex a cell inside another is one of its faces, so the
+    # faces listed by the closure are all the covering relations.
     _validate_intersections(ordered, dominated)
-
-    # Covering relations: containment with dimension difference one.
-    def is_face(tau, sigma):
-        if tau.sedentarity == sigma.sedentarity:
-            return sigma.contains_polyhedron(tau)
-        if not (tau.sedentarity > sigma.sedentarity):
-            return False
-        extra = tau.sedentarity - sigma.sedentarity
-        pkey = (sigma.key, extra)
-        if pkey not in pieces:
-            pieces[pkey] = stratum_piece(sigma, extra)
-        piece = pieces[pkey]
-        return piece is not None and piece.contains_polyhedron(tau)
-
-    covers = []
-    by_dim: dict = {}
-    for i, c in enumerate(ordered):
-        by_dim.setdefault(c.dim, []).append(i)
-    for d in sorted(by_dim):
-        for i in by_dim.get(d, []):
-            for j in by_dim.get(d + 1, []):
-                if is_face(ordered[i], ordered[j]):
-                    covers.append((i, j))
+    covers = sorted((index[f], index[k]) for k, fs in lower.items()
+                    for f in fs)
 
     weights = {}
     for c, w in entries:
@@ -596,9 +567,8 @@ def _validate_intersections(ordered, dominated):
         if c.key in dominated:
             continue
         by_sed.setdefault(c.sedentarity, []).append(c)
-    for sed, group in by_sed.items():
-        maximal = group
-        for a, b in itertools.combinations(maximal, 2):
+    for group in by_sed.values():
+        for a, b in itertools.combinations(group, 2):
             inter = intersect(a, b)
             if inter is None:
                 continue
@@ -621,20 +591,30 @@ def is_balanced(c: PolyhedralComplex):
     """
     if not c.is_pure():
         raise PurityError("balancing needs a pure-dimensional complex")
-    n = c.n
     failures = []
-    for t in c.cells_of_dim(n - 1):
+    for t in c.cells_of_dim(c.n - 1):
         tau = c.cells[t]
-        total = zero_vec(c.ambient_dim)
-        for s in c.covers_of(t):
-            sigma = c.cells[s]
-            if sigma.dim != n or sigma.sedentarity != tau.sedentarity:
-                continue
-            nu = lattice_quotient(sigma, tau)
-            total = vadd(total, vscale(c.weights.get(s, 1), nu))
-        if not tau.lattice.contains(total):
+        total = normal_sum(c, t)
+        if total is not None and not tau.lattice.contains(total):
             failures.append((t, tau.lattice.reduce(total)))
     return (not failures), failures
+
+
+def normal_sum(c: PolyhedralComplex, t: int):
+    """Weighted sum of the primitive normals of the codimension-one cell t
+    in the top-dimensional cells of its sedentarity that cover it.
+
+    Returns None when no such cell covers t (non-pure input).
+    """
+    tau = c.cells[t]
+    total = None
+    for s in c.covers_of(t):  # one dimension up, so top-dimensional
+        sigma = c.cells[s]
+        if sigma.sedentarity != tau.sedentarity:
+            continue
+        nu = vscale(c.weights.get(s, 1), lattice_quotient(sigma, tau))
+        total = nu if total is None else vadd(total, nu)
+    return total
 
 
 def fundamental_cycle_boundary(c: PolyhedralComplex):
@@ -724,12 +704,13 @@ def restrict_to_stratum(c: PolyhedralComplex, stratum) -> PolyhedralComplex:
              if cell.sedentarity == stratum]
     if not group:
         raise ComplexAxiomError(f"no cells of sedentarity {sorted(stratum)}")
+    # A cell is maximal in its stratum when no cell of the stratum covers it.
+    covered = {t for t, s in c.covers if c.cells[s].sedentarity == stratum}
     maximal = []
     for i in group:
-        cell = c.cells[i]
-        if any(j != i and c.cells[j].sedentarity == stratum
-               and c.cells[j].contains_polyhedron(cell) for j in group):
+        if i in covered:
             continue
+        cell = c.cells[i]
         verts = [tuple(v[k] for k in keep) for v in cell.vertices]
         rays = [tuple(vec(ray)[k] for k in keep) for ray in cell.rays]
         maximal.append((Polyhedron(len(keep), verts, rays),

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .errors import DegreeError, DimensionError, UnboundedDomainError
 from .linalg import det, solve, sort_with_sign, vec, vsub
 from .polynomial import Poly, integrate_over_simplex
-from .polyhedral import Polyhedron, faces, lattice_quotient
+from .polyhedral import Polyhedron, faces, lattice_quotient, normal_sum
 
 
 class PolySuperform:
@@ -352,15 +352,7 @@ def balanced_face_cancellation(complex_, beta: PolySuperform, box) -> dict:
         tau = complex_.cells[t]
         if tau.sedentarity:
             continue
-        net = None
-        for s in complex_.covers_of(t):
-            sigma = complex_.cells[s]
-            if sigma.dim != n or sigma.sedentarity != tau.sedentarity:
-                continue
-            nu = lattice_quotient(sigma, tau)
-            weighted = tuple(complex_.weights.get(s, 1) * x for x in nu)
-            net = weighted if net is None else \
-                tuple(a + b for a, b in zip(net, weighted))
+        net = normal_sum(complex_, t)
         if net is None:
             continue
         clipped = intersect(tau, box_poly)

@@ -7,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import tropicoh
+from tropicoh import convex
 from tropicoh.cohomology import (
     build_sheaf,
     inclusion_map,
@@ -130,6 +131,17 @@ def test_one_hrep_to_vrep_path():
         uses = path.read_text().count("polyhedron_generators")
         expected = allowed if path.name == "polyhedral.py" else 0
         assert uses == expected, f"{path.name} calls polyhedron_generators"
+
+
+def test_one_vrep_to_hrep_path():
+    # Facets are enumerated only inside the convex kernel, where
+    # polyhedron_facets calls cone_facets; a recession cone is read from
+    # the cell's H-rep instead.
+    assert inspect.getsource(convex.polyhedron_facets).count("cone_facets") == 1
+    package = Path(tropicoh.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name != "convex.py":
+            assert "cone_facets" not in path.read_text(), path.name
 
 
 def test_exact_kernel_returns_fractions():

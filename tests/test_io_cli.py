@@ -264,26 +264,42 @@ _BAD_GRAPH_ARGS = [
 ]
 
 
+_BAD_MATROID_FILES = [
+    {"uniform": [2.7, 3.2]},
+    {"uniform": [True, 3]},
+    {"ground_size": 3.9, "bases": [[0], [1], [2]]},
+    {"ground_size": 3, "bases": [[0], [1.0], [2]]},
+]
+
+
 @pytest.mark.parametrize(
-    "complex_data, form_data, argv",
+    "data, form_data, argv",
     [(c, f, None) for c, f in _BAD_STOKES_INPUTS]
-    + [(None, None, a) for a in _BAD_GRAPH_ARGS],
+    + [(None, None, a) for a in _BAD_GRAPH_ARGS]
+    + [(m, None, ["os-dims", "--file"]) for m in _BAD_MATROID_FILES],
     ids=["tropical-coord", "weight", "maximal-cells", "monomial-length",
          "tropical-coord-float", "weight-float", "weight-bool",
          "ambient-dim-float", "form-degree-float", "form-index-float",
          "form-exponent-float", "bergman-graph-letters",
          "bergman-graph-triple", "os-dims-graph-letters",
-         "os-dims-graph-triple"])
-def test_cli_malformed_input_is_a_parse_error(tmp_path, capsys, complex_data,
+         "os-dims-graph-triple", "matroid-uniform-float",
+         "matroid-uniform-bool", "matroid-ground-size-float",
+         "matroid-basis-float"])
+def test_cli_malformed_input_is_a_parse_error(tmp_path, capsys, data,
                                                form_data, argv):
-    if argv is None:
-        path = tmp_path / "complex.json"
-        path.write_text(json.dumps(complex_data))
-        argv = ["stokes", str(path)]
-        if form_data is not None:
-            form = tmp_path / "form.json"
-            form.write_text(json.dumps(form_data))
-            argv += ["--form", str(form)]
+    # `data` is written to a file: a complex for `stokes` when argv is
+    # None, otherwise the file argument that ends argv.
+    if data is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        if argv is None:
+            argv = ["stokes", str(path)]
+            if form_data is not None:
+                form = tmp_path / "form.json"
+                form.write_text(json.dumps(form_data))
+                argv += ["--form", str(form)]
+        else:
+            argv = argv + [str(path)]
     code, out = run_cli(argv, capsys)
     assert code == 2
     assert json.loads(out)["error"] == "parse"

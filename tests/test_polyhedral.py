@@ -8,6 +8,13 @@ from hypothesis import strategies as st
 
 from tropicoh import convex
 from tropicoh.errors import ComplexAxiomError
+from tropicoh.matroids import bergman_fan, graphic_matroid, uniform_matroid
+from tropicoh.modifications import (
+    MAX,
+    PLFunction,
+    closed_modification,
+    complete_modification,
+)
 from tropicoh.linalg import (
     Subspace,
     is_zero_vec,
@@ -17,6 +24,7 @@ from tropicoh.linalg import (
     unit_vec,
     vdot,
     vec,
+    vscale,
     vsub,
     zero_vec,
 )
@@ -26,6 +34,7 @@ from tropicoh.polyhedral import (
     build_complex,
     closure_in,
     faces,
+    from_hrep,
     fundamental_cycle_boundary,
     infinite_faces,
     intersect,
@@ -184,6 +193,14 @@ def test_build_complex_nested_maximal_rejected():
             (Polyhedron(1, [(0,)], [(1,)]), 1),
             (Polyhedron(1, [(1,)], [(1,)]), 1),
         ])
+
+
+def test_build_complex_listed_face_rejected():
+    # A listed cell that is a face of another listed cell, at any depth.
+    square = Polyhedron(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
+    for face in (Polyhedron(2, [(0, 0), (1, 0)]), Polyhedron(2, [(1, 1)])):
+        with pytest.raises(ComplexAxiomError, match="is contained in"):
+            build_complex([(face, 1), (square, 1)])
 
 
 def test_face_relation_is_graded():
@@ -476,3 +493,121 @@ def test_cone_generators_commute_with_translation(case):
     assert Subspace(dim, lin).contains(vsub(moved[0][0], shift))
     if not lin:
         assert moved[0] == [shift]
+
+
+def _oracle_covers(c):
+    """Covering pairs found by a pairwise containment scan.
+
+    The earlier way `build_complex` found the covers: every pair of cells
+    one dimension apart is tested, across a sedentarity jump through the
+    stratum piece of the larger cell.
+    """
+    def is_face(tau, sigma):
+        if tau.sedentarity == sigma.sedentarity:
+            return sigma.contains_polyhedron(tau)
+        if not tau.sedentarity > sigma.sedentarity:
+            return False
+        piece = stratum_piece(sigma, tau.sedentarity - sigma.sedentarity)
+        return piece is not None and piece.contains_polyhedron(tau)
+
+    return tuple(sorted((i, j) for i, tau in enumerate(c.cells)
+                        for j, sigma in enumerate(c.cells)
+                        if sigma.dim == tau.dim + 1 and is_face(tau, sigma)))
+
+
+def _r2_and_max():
+    # R^2 and max(0, x, y): their modification is the standard plane in R^3.
+    r2 = build_complex([(Polyhedron(2, [(0, 0)], [(1, 0), (-1, 0), (0, 1),
+                                                    (0, -1)]), 1)])
+    return r2, PLFunction(MAX, terms=[(0, (0, 0)), (0, (1, 0)), (0, (0, 1))])
+
+
+def _star_at_infinity(c):
+    return star(c, next(i for i, cell in enumerate(c.cells)
+                        if cell.sedentarity))
+
+
+_COVER_CASES = {
+    "bergman-u23": lambda: bergman_fan(uniform_matroid(2, 3)),
+    "bergman-u34": lambda: bergman_fan(uniform_matroid(3, 4)),
+    "bergman-graphic": lambda: bergman_fan(
+        graphic_matroid([(0, 1), (1, 2), (2, 0), (2, 3)])),
+    "product-tropical": lambda: product(
+        bergman_fan(uniform_matroid(2, 3)), 1, tropical=True),
+    "product-t2": lambda: product(t1_complex(), 1, tropical=True),
+    "closure-line": lambda: closure_in(tropical_line(), [0, 1]),
+    "closure-u34": lambda: closure_in(bergman_fan(uniform_matroid(3, 4)), [2]),
+    "diagonal-escape": lambda: build_complex(
+        [(Polyhedron(2, [(0, 0)], [(-1, 0), (-1, -1)]), 1)],
+        tropical_coords=[0, 1]),
+    "star-vertex": lambda: star(tropical_line(), 0),
+    "star-sedentary": lambda: _star_at_infinity(
+        product(tropical_line(), 1, tropical=True)),
+    "restrict-mobile": lambda: restrict_to_stratum(
+        product(tropical_line(), 1, tropical=True), ()),
+    "restrict-sedentary": lambda: restrict_to_stratum(
+        product(tropical_line(), 1, tropical=True), {2}),
+    "modification": lambda: complete_modification(
+        tropical_line(), PLFunction(MAX, terms=[(0, (0, 0)), (1, (1, 0))])
+    ).graph,
+    "modification-plane": lambda: complete_modification(
+        *_r2_and_max()).graph,
+    "closed-modification": lambda: closed_modification(*_r2_and_max()).graph,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COVER_CASES))
+def test_covers_match_containment_oracle(name):
+    c = _COVER_CASES[name]()
+    assert c.covers == _oracle_covers(c)
+
+
+def _oracle_stratum_piece(p, extra):
+    """`stratum_piece` with the recession cone from `cone_facets` of the
+    rays instead of the zero-offset H-rep of the cell."""
+    rec_eqs, rec_normals = convex.cone_facets(p.rays, p.ambient_dim)
+    eqs = [(vec(e), F(0)) for e in rec_eqs]
+    ineqs = [(vec(n), F(0)) for n in rec_normals]
+    for i in range(p.ambient_dim):
+        if i in p.sedentarity:
+            continue
+        if i in extra:
+            ineqs.append((vscale(-1, unit_vec(p.ambient_dim, i)), F(1)))
+        else:
+            eqs.append((unit_vec(p.ambient_dim, i), F(0)))
+    if from_hrep(p.ambient_dim, eqs, ineqs, ()) is None:
+        return None
+    proj = lambda w: tuple(F(0) if i in extra else x for i, x in enumerate(w))
+    rays = [r for r in map(proj, p.rays) if not is_zero_vec(vec(r))]
+    return Polyhedron(p.ambient_dim, [proj(v) for v in p.vertices], rays,
+                      p.sedentarity | extra)
+
+
+@st.composite
+def _cells_with_rays(draw):
+    """A cell with at least one ray, maybe sedentary, and a nonempty set
+    of further coordinates to send to -infinity."""
+    dim = draw(st.integers(1, 3))
+    sed = draw(st.sets(st.integers(0, dim - 1), max_size=dim - 1))
+    pin = lambda xs: tuple(0 if i in sed else x for i, x in enumerate(xs))
+    verts = [pin(v) for v in draw(_points(dim))]
+    rays = [pin(r) for r in draw(_points(dim, size=(1, 3)))]
+    assume(any(any(r) for r in rays))
+    cell = Polyhedron(dim, verts, rays, sed)
+    mobile = sorted(set(range(dim)) - sed)
+    extra = draw(st.sets(st.sampled_from(mobile), min_size=1))
+    return cell, frozenset(extra)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cells_with_rays())
+def test_recession_cone_read_from_hrep(case):
+    p, extra = case
+    origin = zero_vec(p.ambient_dim)
+    cone = from_hrep(p.ambient_dim, *p.recession_hrep, p.sedentarity)
+    assert cone.key == Polyhedron(p.ambient_dim, [origin], p.rays,
+                                  p.sedentarity).key
+    new, old = stratum_piece(p, extra), _oracle_stratum_piece(p, extra)
+    assert (new is None) == (old is None)
+    if new is not None:
+        assert new.key == old.key
