@@ -1,9 +1,13 @@
 """Exact conversion between generator and inequality descriptions.
 
-Desk-scale double description: facets of a cone are enumerated by brute
-force over generator subsets, extreme rays by brute force over tight
-inequality subsets.  Everything is rational and exact; normals and rays
-are normalized to primitive integer vectors so the output is canonical.
+Extreme rays come from an incremental double description (Motzkin,
+Raiffa, Thompson and Thrall 1953, in the form of Fukuda and Prodon 1996)
+on primitive integer rows: the inequalities cut the pointed section of
+the cone one at a time, and a new ray is made only from an adjacent pair
+of rays on opposite sides.  Facet normals of a cone are the extreme rays
+of its dual cone inside its span, so one enumeration serves both
+directions.  Everything is exact; normals and rays are primitive integer
+vectors, so the output is canonical.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .linalg import (
-    Subspace,
     Vec,
     clear_denominators,
     idot,
@@ -33,38 +36,22 @@ def _kernel(rows, ambient_dim: int):
     return kernel_basis(rows if rows else [zero_vec(ambient_dim)])
 
 
+def _combine(c, v, d, w):
+    """The primitive integer vector c*v + d*w."""
+    return primitive([c * x + d * y for x, y in zip(v, w)])
+
+
 def cone_facets(generators, ambient_dim: int):
     """Facet normals and span equations of cone(generators).
 
     Returns (equations, normals): `equations` is a canonical list of
     primitive vectors annihilating the linear span; `normals` are primitive
     inward normals a with a . x >= 0 on the cone, one per facet, sorted.
+    They are the extreme rays of the dual cone inside the span.
     """
-    gens = [vec(g) for g in generators if not is_zero_vec(vec(g))]
+    gens = [primitive(g) for g in generators]
     equations = [primitive(r) for r in _kernel(gens, ambient_dim)]
-    if not gens:
-        return equations, []
-    span = Subspace(ambient_dim, gens)
-    d = span.dim
-    # Signs are tested on primitive integer rows: positive scaling keeps them.
-    int_gens = [primitive(g) for g in gens]
-    normals = set()
-    for subset in itertools.combinations(range(len(gens)), d - 1):
-        sub = [gens[i] for i in subset]
-        if Subspace(ambient_dim, sub).dim != d - 1:
-            continue
-        # Candidate normal: inside the span, orthogonal to the subset.
-        cand = _kernel(sub + list(span.perp().basis), ambient_dim)
-        if len(cand) != 1:
-            continue
-        n = primitive(cand[0])
-        dots = [idot(n, g) for g in int_gens]
-        pos = any(x > 0 for x in dots)
-        neg = any(x < 0 for x in dots)
-        if pos and neg:
-            continue
-        normals.add(tuple(-x for x in n) if neg else n)
-    return equations, sorted(normals)
+    return equations, cone_rays(gens, equations, ambient_dim)[1]
 
 
 def cone_rays(ineq_normals, eq_normals, ambient_dim: int):
@@ -72,44 +59,54 @@ def cone_rays(ineq_normals, eq_normals, ambient_dim: int):
 
     Returns (lineality_basis, extreme_rays) with primitive integer entries;
     the cone is the span of the lineality plus the nonnegative span of the
-    rays.  Extreme rays are canonical up to ordering (sorted).
+    rays.  The lineality basis is the canonical kernel basis; the rays are
+    the extreme rays of the pointed section orthogonal to the lineality,
+    sorted.
     """
-    eqs = [vec(e) for e in eq_normals]
-    ineqs = [vec(a) for a in ineq_normals]
-    v0 = Subspace(ambient_dim, _kernel(eqs, ambient_dim))
-    if v0.dim == 0:
+    ineqs = [primitive(a) for a in ineq_normals]
+    eqs = [primitive(e) for e in eq_normals]
+    # The rays span the section of the cone inside the equations and
+    # orthogonal to the lineality.  The section starts as that whole
+    # subspace, spanned by the free directions, and each inequality cuts
+    # it in turn.  A ray carries its zero set over the inequalities cut so
+    # far, as a bit mask.
+    free = [primitive(r) for r in _kernel(eqs, ambient_dim)]
+    if not free:
         return [], []
-    if not ineqs:
-        return [primitive(r) for r in v0.basis], []
-    # Lineality: common kernel of all inequalities inside v0.
-    lineality = [primitive(r)
-                 for r in _kernel(list(ineqs) + list(v0.perp().basis), ambient_dim)]
+    lineality = [primitive(r) for r in _kernel(ineqs + eqs, ambient_dim)]
     if lineality:
-        lin_space = Subspace(ambient_dim, lineality)
-        comp = Subspace(ambient_dim, _kernel(list(lin_space.basis), ambient_dim))
-        comp = comp.intersection(v0)
-    else:
-        comp = v0
-    basis = list(comp.basis)
-    dimc = len(basis)
-    if dimc == 0:
-        return lineality, []
-    restricted = [primitive([vdot(a, b) for b in basis]) for a in ineqs]
-    rays = set()
-    for subset in itertools.combinations(range(len(restricted)), dimc - 1):
-        rows = [restricted[i] for i in subset]
-        cand = _kernel(rows, dimc)
-        if len(cand) != 1:
+        free = [primitive(r) for r in _kernel(eqs + lineality, ambient_dim)]
+    rays = []
+    for i, a in enumerate(ineqs):
+        bit = 1 << i
+        k = next((k for k, g in enumerate(free) if idot(a, g)), None)
+        if k is not None:
+            # The free direction g becomes a ray, tight on every earlier
+            # inequality; the rest is moved along g onto a . x = 0.
+            g = free.pop(k)
+            ag = idot(a, g)
+            if ag < 0:
+                g, ag = tuple(-x for x in g), -ag
+            free = [_combine(ag, h, -idot(a, h), g) for h in free]
+            rays = [(_combine(ag, r, -idot(a, r), g), z | bit)
+                    for r, z in rays]
+            rays.append((g, bit - 1))
             continue
-        v = primitive(cand[0])
-        for w in (v, tuple(-x for x in v)):
-            if all(idot(a, w) >= 0 for a in restricted):
-                amb = zero_vec(ambient_dim)
-                for c, b in zip(w, basis):
-                    amb = tuple(x + c * y for x, y in zip(amb, b))
-                rays.add(primitive(amb))
-                break
-    return lineality, sorted(rays)
+        signs = [idot(a, r) for r, _ in rays]
+        masks = [z for _, z in rays]
+        cut = [(r, z | bit if s == 0 else z)
+               for (r, z), s in zip(rays, signs) if s >= 0]
+        for (p, zp), sp in zip(rays, signs):
+            if sp <= 0:
+                continue
+            for (q, zq), sq in zip(rays, signs):
+                # p and q are adjacent when no third ray is tight on all
+                # the inequalities that both are tight on.
+                z = zp & zq
+                if sq < 0 and sum(m & z == z for m in masks) == 2:
+                    cut.append((_combine(sp, q, -sq, p), z | bit))
+        rays = cut
+    return lineality, sorted(r for r, _ in rays)
 
 
 def _rescale_offset(a_raw, b_raw):
@@ -135,7 +132,6 @@ def polyhedron_facets(vertices, rays, ambient_dim: int):
     homog = [(Fraction(1),) + v for v in verts] + [(Fraction(0),) + r for r in rs]
     eqs_h, normals_h = cone_facets(homog, ambient_dim + 1)
     directions = [vsub(v, verts[0]) for v in verts[1:]] + rs
-    dir_space = Subspace(ambient_dim, directions)
     eq_rows = []
     for e in eqs_h:
         a = vec(e[1:])
@@ -151,7 +147,7 @@ def polyhedron_facets(vertices, rays, ambient_dim: int):
         a0, a = Fraction(n[0]), vec(n[1:])
         if is_zero_vec(a):
             continue  # the facet at infinity x0 >= 0
-        if all(vdot(a, d) == 0 for d in dir_space.basis):
+        if all(vdot(a, d) == 0 for d in directions):
             continue  # constant on the affine hull
         inequalities.append(_rescale_offset(a, -a0))
     return sorted(eq_canon), sorted(inequalities)

@@ -56,6 +56,13 @@ def parse_int(s) -> int:
     raise ParseError(f"not an integer: {s!r}")
 
 
+def parse_list(s, what: str) -> list:
+    """A JSON array.  Strings and objects are refused rather than iterated."""
+    if not isinstance(s, list):
+        raise ParseError(f"{what} is not an array: {s!r}")
+    return s
+
+
 def parse_extended(s):
     if s == "-inf":
         return NEG_INF
@@ -103,8 +110,10 @@ def complex_to_dict(c: PolyhedralComplex) -> dict:
 def complex_from_dict(data) -> PolyhedralComplex:
     try:
         ambient = parse_int(data["ambient_dim"])
-        raw_cells = list(data["maximal_cells"])
-        tropical = {parse_int(i) - 1 for i in data.get("tropical_coords", [])}
+        raw_cells = parse_list(data["maximal_cells"], "maximal_cells")
+        tropical = {parse_int(i) - 1 for i in
+                    parse_list(data.get("tropical_coords", []),
+                               "tropical_coords")}
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad complex object: {exc}") from exc
     if any(i < 0 or i >= ambient for i in tropical):
@@ -112,10 +121,10 @@ def complex_from_dict(data) -> PolyhedralComplex:
     maximal = []
     for entry in raw_cells:
         try:
-            verts = [[parse_extended(x) for x in v]
-                     for v in entry["vertices"]]
-            rays = [[parse_rational(x) for x in r]
-                    for r in entry.get("rays", [])]
+            verts = [[parse_extended(x) for x in parse_list(v, "vertex")]
+                     for v in parse_list(entry["vertices"], "vertices")]
+            rays = [[parse_rational(x) for x in parse_list(r, "ray")]
+                    for r in parse_list(entry.get("rays", []), "rays")]
             weight = parse_int(entry.get("weight", 1))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad cell entry: {exc}") from exc
@@ -147,11 +156,15 @@ def load_matroid(path) -> Matroid:
     data = _load_json(path)
     try:
         if "uniform" in data:
-            data = {"uniform": [parse_int(x) for x in data["uniform"]]}
-        elif "graph" not in data:
+            data = {"uniform": [parse_int(x) for x in
+                                parse_list(data["uniform"], "uniform")]}
+        elif "graph" in data:
+            data = {"graph": [parse_list(e, "edge")
+                              for e in parse_list(data["graph"], "graph")]}
+        else:
             data = {"ground_size": parse_int(data["ground_size"]),
-                    "bases": [[parse_int(x) for x in b]
-                              for b in data["bases"]]}
+                    "bases": [[parse_int(x) for x in parse_list(b, "basis")]
+                              for b in parse_list(data["bases"], "bases")]}
         return matroid_from(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad matroid object: {exc}") from exc
@@ -162,8 +175,8 @@ def load_matroid(path) -> Matroid:
 
 def cellsheaf_from_dict(data) -> CellularSheafDatum:
     try:
-        raw_cells = data["cells"]
-        raw_relations = data["relations"]
+        raw_cells = parse_list(data["cells"], "cells")
+        raw_relations = parse_list(data["relations"], "relations")
         direction = data.get("direction", SHEAF)
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad cell-sheaf object: {exc}") from exc
@@ -186,8 +199,9 @@ def cellsheaf_from_dict(data) -> CellularSheafDatum:
         try:
             lo = index[str(entry["from"])]
             hi = index[str(entry["to"])]
-            matrix = tuple(tuple(parse_rational(x) for x in row)
-                           for row in entry["matrix"])
+            matrix = tuple(tuple(parse_rational(x)
+                                 for x in parse_list(row, "matrix row"))
+                           for row in parse_list(entry["matrix"], "matrix"))
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad relation entry: {exc}") from exc
         maps[(lo, hi)] = matrix
@@ -206,8 +220,9 @@ def plfunction_from_dict(data, reference=None) -> PLFunction:
     if "terms" in data:
         try:
             terms = [(parse_rational(t["coeff"]),
-                      tuple(parse_int(e) for e in t["exponents"]))
-                     for t in data["terms"]]
+                      tuple(parse_int(e) for e in
+                            parse_list(t["exponents"], "exponents")))
+                     for t in parse_list(data["terms"], "terms")]
             mode = data.get("mode", "max")
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad tropical polynomial: {exc}") from exc
@@ -217,10 +232,11 @@ def plfunction_from_dict(data, reference=None) -> PLFunction:
             raise ParseError("per-facet functions need a reference complex")
         facets = reference.facet_indices()
         per_facet = {}
-        for entry in data["per_facet"]:
+        for entry in parse_list(data["per_facet"], "per_facet"):
             try:
                 idx = parse_int(entry["cell_id"])
-                lin = [parse_rational(x) for x in entry["linear"]]
+                lin = [parse_rational(x)
+                       for x in parse_list(entry["linear"], "linear")]
                 const = parse_rational(entry["constant"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"bad per-facet entry: {exc}") from exc
@@ -244,17 +260,18 @@ def superform_from_dict(data) -> PolySuperform:
         ambient = parse_int(data["ambient_dim"])
         p = parse_int(data["p"])
         q = parse_int(data["q"])
-        raw_terms = data["terms"]
+        raw_terms = parse_list(data["terms"], "terms")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad superform object: {exc}") from exc
     terms = {}
     for entry in raw_terms:
         try:
-            k = tuple(parse_int(i) - 1 for i in entry["K"])
-            l = tuple(parse_int(i) - 1 for i in entry["L"])
+            k = tuple(parse_int(i) - 1 for i in parse_list(entry["K"], "K"))
+            l = tuple(parse_int(i) - 1 for i in parse_list(entry["L"], "L"))
             poly_terms = {}
-            for t in entry["poly"]:
-                mono = tuple(parse_int(e) for e in t["exponents"])
+            for t in parse_list(entry["poly"], "poly"):
+                mono = tuple(parse_int(e) for e in
+                             parse_list(t["exponents"], "exponents"))
                 poly_terms[mono] = poly_terms.get(mono, Fraction(0)) + \
                     parse_rational(t["coeff"])
             poly = Poly(ambient, poly_terms)

@@ -1,10 +1,16 @@
-"""Cone and polyhedron conversions: hand oracles plus round trips."""
+"""Cone and polyhedron conversions: hand oracles, round trips, and the
+double description checked against frozen subset-enumeration oracles."""
 
+import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from tropicoh import convex
 from tropicoh.convex import (
     cone_facets,
     cone_rays,
@@ -12,9 +18,187 @@ from tropicoh.convex import (
     polyhedron_generators,
     satisfies,
 )
-from tropicoh.linalg import Subspace, vdot, vec
+from tropicoh.linalg import (
+    Subspace,
+    idot,
+    is_zero_vec,
+    kernel_basis,
+    primitive,
+    vdot,
+    vec,
+    zero_vec,
+)
 
 F = Fraction
+
+
+# Frozen oracles: the subset-enumeration kernel that the incremental
+# double description replaced.  Facets try every (d-1)-subset of
+# generators, rays every (d-1)-subset of inequalities in the pointed
+# section.
+
+
+def _old_kernel(rows, ambient_dim):
+    return kernel_basis(rows if rows else [zero_vec(ambient_dim)])
+
+
+def _old_cone_facets(generators, ambient_dim):
+    gens = [vec(g) for g in generators if not is_zero_vec(vec(g))]
+    equations = [primitive(r) for r in _old_kernel(gens, ambient_dim)]
+    if not gens:
+        return equations, []
+    span = Subspace(ambient_dim, gens)
+    d = span.dim
+    int_gens = [primitive(g) for g in gens]
+    normals = set()
+    for subset in itertools.combinations(range(len(gens)), d - 1):
+        sub = [gens[i] for i in subset]
+        if Subspace(ambient_dim, sub).dim != d - 1:
+            continue
+        cand = _old_kernel(sub + list(span.perp().basis), ambient_dim)
+        if len(cand) != 1:
+            continue
+        n = primitive(cand[0])
+        dots = [idot(n, g) for g in int_gens]
+        pos = any(x > 0 for x in dots)
+        neg = any(x < 0 for x in dots)
+        if pos and neg:
+            continue
+        normals.add(tuple(-x for x in n) if neg else n)
+    return equations, sorted(normals)
+
+
+def _old_cone_rays(ineq_normals, eq_normals, ambient_dim):
+    eqs = [vec(e) for e in eq_normals]
+    ineqs = [vec(a) for a in ineq_normals]
+    v0 = Subspace(ambient_dim, _old_kernel(eqs, ambient_dim))
+    if v0.dim == 0:
+        return [], []
+    if not ineqs:
+        return [primitive(r) for r in v0.basis], []
+    lineality = [primitive(r) for r in
+                 _old_kernel(list(ineqs) + list(v0.perp().basis), ambient_dim)]
+    if lineality:
+        lin_space = Subspace(ambient_dim, lineality)
+        comp = Subspace(ambient_dim,
+                        _old_kernel(list(lin_space.basis), ambient_dim))
+        comp = comp.intersection(v0)
+    else:
+        comp = v0
+    basis = list(comp.basis)
+    dimc = len(basis)
+    if dimc == 0:
+        return lineality, []
+    restricted = [primitive([vdot(a, b) for b in basis]) for a in ineqs]
+    rays = set()
+    for subset in itertools.combinations(range(len(restricted)), dimc - 1):
+        cand = _old_kernel([restricted[i] for i in subset], dimc)
+        if len(cand) != 1:
+            continue
+        v = primitive(cand[0])
+        for w in (v, tuple(-x for x in v)):
+            if all(idot(a, w) >= 0 for a in restricted):
+                amb = zero_vec(ambient_dim)
+                for c, b in zip(w, basis):
+                    amb = tuple(x + c * y for x, y in zip(amb, b))
+                rays.add(primitive(amb))
+                break
+    return lineality, sorted(rays)
+
+
+def _old_is_wrong(ineqs, eqs, dim):
+    # On R^1 with only zero rows the whole line is lineality, but the old
+    # section was computed as Subspace(1, []).perp(), which is {0} rather
+    # than Q^1, so the oracle also returned the ray (1,) inside it.
+    return (dim == 1 and ineqs and not any(map(any, ineqs))
+            and not any(map(any, eqs)))
+
+
+@st.composite
+def _systems(draw):
+    """Integer rows in dimension 1-5 with duplicate, zero, opposite and
+    redundant (sums of two) rows mixed in, plus up to two equations."""
+    dim = draw(st.integers(1, 5))
+    row = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    rows = draw(st.lists(row, max_size=6))
+    extra = []
+    for r in rows:
+        kind = draw(st.sampled_from(["keep", "duplicate", "opposite", "sum"]))
+        if kind == "duplicate":
+            extra.append(list(r))
+        elif kind == "opposite":
+            extra.append([-x for x in r])
+        elif kind == "sum":
+            other = draw(st.sampled_from(rows))
+            extra.append([x + y for x, y in zip(r, other)])
+    if draw(st.booleans()):
+        extra.append([0] * dim)
+    rows = draw(st.permutations(rows + extra))
+    eqs = draw(st.lists(row, max_size=2))
+    return dim, rows, eqs
+
+
+_EDGE_SYSTEMS = [
+    (3, [], []),                                        # the full space
+    (2, [[1, 0], [-1, 0], [0, 1], [0, -1]], []),        # {0} by inequalities
+    (2, [[1, 1]], [[1, 0], [0, 1]]),                    # {0} by equations
+    (3, [[1, 0, 0]], []),                               # lineality of rank 2
+    (3, [[1, 0, 0], [1, 0, 0], [0, 0, 0], [2, 0, 0]], [[0, 1, -1]]),
+    (4, [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0],
+         [0, 0, -1, 0]], []),                           # redundant and opposite
+]
+
+
+def _with_examples(test):
+    for example_args in _EDGE_SYSTEMS:
+        test = example(example_args)(test)
+    return test
+
+
+@settings(max_examples=400, deadline=None)
+@given(_systems())
+@_with_examples
+def test_cone_rays_matches_subset_enumeration(system):
+    dim, ineqs, eqs = system
+    expected = _old_cone_rays(ineqs, eqs, dim)
+    if _old_is_wrong(ineqs, eqs, dim):
+        expected = (expected[0], [])
+    assert cone_rays(ineqs, eqs, dim) == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(_systems())
+@_with_examples
+def test_cone_facets_matches_subset_enumeration(system):
+    dim, gens, _ = system
+    assert cone_facets(gens, dim) == _old_cone_facets(gens, dim)
+
+
+def test_cone_rays_zero_rows_on_the_line():
+    # The one input where the oracle is wrong: every row is zero on R^1.
+    assert cone_rays([[0]], [], 1) == ([(1,)], [])
+    assert cone_rays([[0], [0]], [[0]], 1) == ([(1,)], [])
+    assert _old_cone_rays([[0]], [], 1) == ([(1,)], [(1,)])
+
+
+@st.composite
+def _polytopes_with_rays(draw):
+    dim = draw(st.integers(1, 4))
+    point = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+    verts = draw(st.lists(point, min_size=1, max_size=6))
+    direction = st.lists(st.integers(-1, 1), min_size=dim, max_size=dim)
+    rays = [r for r in draw(st.lists(direction, max_size=3)) if any(r)]
+    return dim, verts, rays
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polytopes_with_rays())
+def test_polyhedron_facets_keys_match_subset_enumeration(polytope):
+    dim, verts, rays = polytope
+    new = polyhedron_facets(verts, rays, dim)
+    with mock.patch.object(convex, "cone_facets", _old_cone_facets):
+        old = polyhedron_facets(verts, rays, dim)
+    assert new == old
 
 
 def test_cone_facets_quadrant():
@@ -117,8 +301,9 @@ def test_polyhedron_generators_square():
 
 
 def test_polyhedron_generators_empty():
-    out = polyhedron_generators([], [((1,), F(0)), ((-1,), F(-1 - 1))], 1)
-    assert out is None or out  # x >= 0 and x <= -2: empty
+    # x >= 0 and -x >= -2 is the segment [0, 2]; x >= 0 and -x >= 2 is empty.
+    out = polyhedron_generators([], [((1,), F(0)), ((-1,), F(-2))], 1)
+    assert out == ([(F(0),), (F(2),)], [], [])
     assert polyhedron_generators([], [((1,), F(0)), ((-1,), F(2))], 1) is None
 
 

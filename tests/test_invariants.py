@@ -144,6 +144,14 @@ def test_one_vrep_to_hrep_path():
             assert "cone_facets" not in path.read_text(), path.name
 
 
+def test_cone_kernel_is_one_double_description():
+    # Extreme rays come from the incremental double description, never
+    # from enumerating subsets, and facet normals are the dual cone's rays,
+    # so both directions go through the one enumeration in cone_rays.
+    assert "combinations" not in Path(convex.__file__).read_text()
+    assert "cone_rays(" in inspect.getsource(convex.cone_facets)
+
+
 def test_exact_kernel_returns_fractions():
     # The kernel eliminates on integer rows internally; an int leaking out
     # would hash equal to its Fraction but could change canonical output.

@@ -269,6 +269,11 @@ _BAD_MATROID_FILES = [
     {"uniform": [True, 3]},
     {"ground_size": 3.9, "bases": [[0], [1], [2]]},
     {"ground_size": 3, "bases": [[0], [1.0], [2]]},
+    {"uniform": "23"},
+    {"ground_size": 3, "bases": ["01", "02", "12"]},
+]
+_BAD_COMPLEX_FILES = [
+    {"ambient_dim": 1, "maximal_cells": [{"vertices": ["0"], "rays": ["1"]}]},
 ]
 
 
@@ -276,7 +281,8 @@ _BAD_MATROID_FILES = [
     "data, form_data, argv",
     [(c, f, None) for c, f in _BAD_STOKES_INPUTS]
     + [(None, None, a) for a in _BAD_GRAPH_ARGS]
-    + [(m, None, ["os-dims", "--file"]) for m in _BAD_MATROID_FILES],
+    + [(m, None, ["os-dims", "--file"]) for m in _BAD_MATROID_FILES]
+    + [(c, None, ["validate"]) for c in _BAD_COMPLEX_FILES],
     ids=["tropical-coord", "weight", "maximal-cells", "monomial-length",
          "tropical-coord-float", "weight-float", "weight-bool",
          "ambient-dim-float", "form-degree-float", "form-index-float",
@@ -284,7 +290,8 @@ _BAD_MATROID_FILES = [
          "bergman-graph-triple", "os-dims-graph-letters",
          "os-dims-graph-triple", "matroid-uniform-float",
          "matroid-uniform-bool", "matroid-ground-size-float",
-         "matroid-basis-float"])
+         "matroid-basis-float", "matroid-uniform-string",
+         "matroid-basis-strings", "cell-vertex-and-ray-strings"])
 def test_cli_malformed_input_is_a_parse_error(tmp_path, capsys, data,
                                                form_data, argv):
     # `data` is written to a file: a complex for `stokes` when argv is
