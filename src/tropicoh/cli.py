@@ -13,8 +13,13 @@ from fractions import Fraction
 
 from . import io as tio
 from .cohomology import (
+    SHEAF,
+    CellularSheafDatum,
+    SheafCell,
     betti_tables,
     compact_cohomology,
+    inclusion_map,
+    multitangent_space,
     ordinary_cohomology,
     pd_report,
 )
@@ -26,12 +31,21 @@ from .matroids import (
     uniform_matroid,
 )
 from .modifications import (
+    MAX,
     PLFunction,
     closed_modification,
     complete_modification,
+    graph_complex,
     project_modification,
+    weighted_supports_equal,
 )
-from .polyhedral import Polyhedron, build_complex, is_balanced
+from .polyhedral import (
+    Polyhedron,
+    build_complex,
+    closure_in,
+    infinite_faces,
+    is_balanced,
+)
 from .superforms import balanced_face_cancellation, form_from_terms
 
 
@@ -171,6 +185,8 @@ def cmd_closed_modify(args):
 
 def cmd_project(args):
     v = tio.load_complex(args.complex)
+    if not 1 <= args.coordinate <= v.ambient_dim:
+        raise ParseError(f"--coordinate must lie in 1..{v.ambient_dim}")
     res = project_modification(v, args.coordinate - 1)
     _emit(_modification_report(res), args.out)
     return 0
@@ -221,11 +237,6 @@ def _tropical_line(weights=(1, 1, 1)):
 
 
 def _corpus_checks():
-    from .cohomology import (CellularSheafDatum, SHEAF, SheafCell,
-                             multitangent_space)
-    from .modifications import MAX, graph_complex, weighted_supports_equal
-    from .polyhedral import closure_in, infinite_faces
-
     line = _tropical_line()
     vertex = line.cells_of_dim(0)[0]
 
@@ -263,7 +274,6 @@ def _corpus_checks():
                for i, c in enumerate(cl.cells) if c.sedentarity))
 
     def _t1_zero_map():
-        from .cohomology import inclusion_map
         t1 = build_complex([(Polyhedron(1, [(0,)], [(1,), (-1,)]), 1)],
                            tropical_coords=[0])
         sed = next(i for i, c in enumerate(t1.cells) if c.sedentarity)

@@ -22,6 +22,7 @@ from .linalg import (
     Subspace,
     mat,
     mat_mul,
+    mat_transpose,
     p_subsets,
     subspace_sum,
     vdot,
@@ -99,7 +100,6 @@ class CellularSheafDatum:
 
     def transpose(self) -> "CellularSheafDatum":
         """The dual datum: sheaf from cosheaf and back, with transposes."""
-        from .linalg import mat_transpose
         other = SHEAF if self.direction == COSHEAF else COSHEAF
         flipped = {}
         for (i, j), m in self.cover_maps.items():

@@ -262,17 +262,14 @@ class Subspace:
         return Subspace(self.ambient_dim, rows)
 
     def intersection(self, other: "Subspace") -> "Subspace":
-        if other.ambient_dim != self.ambient_dim:
-            raise DimensionError("intersection: ambient mismatch")
-        # x in both spans: stack equations from the orthogonal complements.
-        eqs = list(self.perp().basis) + list(other.perp().basis)
-        if not eqs:
-            eqs = [zero_vec(self.ambient_dim)]
-        return Subspace(self.ambient_dim, kernel_basis(mat(eqs)))
+        # x in both spans: the complement of the sum of the complements.
+        return self.perp().sum(other.perp()).perp()
 
     def perp(self) -> "Subspace":
         """Orthogonal complement under the standard dot product."""
-        return Subspace(self.ambient_dim, kernel_basis(self.basis))
+        # A matrix with no rows has no columns for kernel_basis to free.
+        rows = self.basis or [zero_vec(self.ambient_dim)]
+        return Subspace(self.ambient_dim, kernel_basis(rows))
 
     def __eq__(self, other):
         return (isinstance(other, Subspace)
@@ -588,18 +585,17 @@ def lattice_quotient_primitive(z_sigma: Lattice, z_tau: Lattice, interior_witnes
     if z_sigma.rank != z_tau.rank + 1:
         raise CodimensionError(
             f"rank {z_sigma.rank} over rank {z_tau.rank} is not corank one")
-    for row in z_tau.basis:
-        if not z_sigma.contains(row):
-            raise CodimensionError("Z_tau is not a sublattice of Z_sigma")
+    # Coordinates of Z_tau in the basis of Z_sigma: integer exactly when Z_tau
+    # is a sublattice, and then the free direction of the Smith form of that
+    # k x (k+1) matrix lifts to the quotient generator.
+    m = [z_sigma.coords(row) for row in z_tau.basis]
+    if any(c is None or any(x.denominator != 1 for x in c) for c in m):
+        raise CodimensionError("Z_tau is not a sublattice of Z_sigma")
     k = z_tau.rank
     if k == 0:
         nu = z_sigma.basis[0]
     else:
-        # Coordinates of Z_tau in the basis of Z_sigma give an integer
-        # k x (k+1) matrix; the free direction of its Smith form lifts to
-        # the quotient generator.
-        m = [ [int(x) for x in z_sigma.coords(row)] for row in z_tau.basis]
-        u, d, v = smith_normal_form(m)
+        u, d, v = smith_normal_form([[int(x) for x in c] for c in m])
         v_inv = _mat_inverse(v)
         gen_coords = v_inv[k]
         nu = zero_vec(z_sigma.ambient_dim)

@@ -16,12 +16,16 @@ from fractions import Fraction
 from .convex import satisfies
 from .errors import (
     BalancingRequiredError,
+    DimensionError,
     IntegralityError,
     ModificationError,
     NotAModificationError,
 )
 from .linalg import (
+    Lattice,
+    det,
     is_zero_vec,
+    mat,
     solve,
     unit_vec,
     vdot,
@@ -263,7 +267,6 @@ def _drop_coordinate(cell: Polyhedron, i: int) -> Polyhedron:
 
 def _projection_index(cell: Polyhedron, dropped: Polyhedron, i: int) -> int:
     """Lattice index [Z(pi(cell)) : pi(Z(cell))]."""
-    from .linalg import Lattice, det, mat
     target = dropped.lattice
     if target.rank == 0:
         return 1
@@ -288,12 +291,14 @@ def project_modification(v: PolyhedralComplex, coordinate: int
     onto the source; the recovered per-facet function is verified by
     reconstructing the modification and comparing weighted supports.
     """
+    r = v.ambient_dim
+    i = coordinate
+    if not 0 <= i < r:
+        raise DimensionError(f"coordinate {i} is outside 0..{r - 1}")
     ok, _ = is_balanced(v)
     if not ok:
         raise BalancingRequiredError("projection analysis needs a balanced "
                                      "cycle")
-    r = v.ambient_dim
-    i = coordinate
     e_i = unit_vec(r, i)
     verticals = []
     horizontals = []

@@ -22,6 +22,7 @@ from .linalg import (
     det,
     idot,
     is_zero_vec,
+    lattice_quotient_primitive,
     primitive,
     solve,
     unit_vec,
@@ -318,17 +319,6 @@ def intersect(a: Polyhedron, b: Polyhedron):
                      a.hrep[1] + b.hrep[1], a.sedentarity)
 
 
-def _tight_face(p: Polyhedron, sub: Polyhedron) -> Polyhedron:
-    """The smallest face of p containing the subset sub of p."""
-    eqs, ineqs = p.hrep
-    tight = [(a, b) for a, b in ineqs
-             if all(convex.satisfies(v, [(a, b)], ()) for v in sub.vertices)
-             and all(idot(a, r) == 0 for r in sub.rays)]
-    verts = [v for v in p.vertices if convex.satisfies(v, tight, ())]
-    rays = [r for r in p.rays if all(idot(a, r) == 0 for a, _ in tight)]
-    return Polyhedron(p.ambient_dim, verts, rays, p.sedentarity)
-
-
 class PolyhedralComplex:
     """A face-closed weighted rational polyhedral complex in T^r."""
 
@@ -358,9 +348,6 @@ class PolyhedralComplex:
     def is_pure(self) -> bool:
         n = self.n
         return all(self.cells[i].dim == n for i in self.facet_indices())
-
-    def index_of(self, cell: Polyhedron) -> int:
-        return self._index[cell.key]
 
     def cells_of_dim(self, d: int) -> list[int]:
         return [i for i, c in enumerate(self.cells) if c.dim == d]
@@ -432,8 +419,9 @@ def _incidence_sign(tau: Polyhedron, sigma: Polyhedron) -> int:
     o_sigma = _orientation(sigma)
     o_tau = _orientation(tau)
     if tau.sedentarity == sigma.sedentarity:
-        nu = lattice_quotient(sigma, tau)
-        outward = vscale(-1, nu)
+        # A positive multiple of minus the primitive normal plus a vector of
+        # L(tau), so the determinant below has the same sign as with it.
+        outward = vsub(tau.relint_point(), sigma.relint_point())
         cols = [outward] + [vec(b) for b in o_tau]
     else:
         esc = tau.sedentarity - sigma.sedentarity
@@ -486,7 +474,6 @@ def _orientation(p: Polyhedron):
 
 def lattice_quotient(sigma: Polyhedron, tau: Polyhedron) -> Vec:
     """Primitive normal of tau in sigma pointing into sigma."""
-    from .linalg import lattice_quotient_primitive
     witness = vsub(sigma.relint_point(), tau.relint_point())
     return vec(lattice_quotient_primitive(sigma.lattice, tau.lattice, witness))
 
@@ -516,16 +503,17 @@ def build_complex(maximal_cells, tropical_coords=()) -> PolyhedralComplex:
         raise ComplexAxiomError("duplicate maximal cell")
 
     dominated: set = set()  # keys that are proper faces of another cell
-    lower: dict = {}  # cell key -> keys of its faces one dimension down
+    face_keys: dict = {}  # cell key -> keys of its faces (itself too), pieces
     work = list(cells.values())
     listed = set(cells)
     while work:
         c = work.pop()
-        below = lower[c.key] = []
+        found = face_keys[c.key] = set()
         # The faces of c's own sedentarity, then its stratum pieces: these
         # live in a deeper group where they may well be maximal, and only
         # their own face pass marks their descendants as dominated.
         for f in itertools.chain(faces(c), _stratum_pieces(c, tropical)):
+            found.add(f.key)
             if f.sedentarity == c.sedentarity and f.key != c.key:
                 dominated.add(f.key)
                 # Degenerate input: one maximal cell inside another (one
@@ -533,8 +521,6 @@ def build_complex(maximal_cells, tropical_coords=()) -> PolyhedralComplex:
                 if f.key in listed and c.key in listed:
                     raise ComplexAxiomError(
                         f"maximal cell {f} is contained in {c}")
-            if f.dim == c.dim - 1:
-                below.append(f.key)
             if f.key not in cells:
                 cells[f.key] = f
                 work.append(f)
@@ -543,10 +529,10 @@ def build_complex(maximal_cells, tropical_coords=()) -> PolyhedralComplex:
     index = {c.key: i for i, c in enumerate(ordered)}
 
     # In a valid complex a cell inside another is one of its faces, so the
-    # faces listed by the closure are all the covering relations.
-    _validate_intersections(ordered, dominated)
-    covers = sorted((index[f], index[k]) for k, fs in lower.items()
-                    for f in fs)
+    # faces listed by the closure one dimension down are all the covers.
+    _validate_intersections(ordered, dominated, face_keys)
+    covers = sorted((index[f], index[k]) for k, fs in face_keys.items()
+                    for f in fs if cells[f].dim == cells[k].dim - 1)
 
     weights = {}
     for c, w in entries:
@@ -560,21 +546,20 @@ def build_complex(maximal_cells, tropical_coords=()) -> PolyhedralComplex:
                              orientations, signs)
 
 
-def _validate_intersections(ordered, dominated):
-    """Pairwise intersections of stratum-maximal cells must be common faces."""
+def _validate_intersections(ordered, dominated, face_keys):
+    """Pairwise intersections of stratum-maximal cells must be common faces:
+    their keys must lie in the face sets the closure recorded for both cells
+    (exact, since `faces` lists every nonempty face). Incidence signs take
+    the outward side from relative-interior points; see `_incidence_sign`."""
     by_sed: dict = {}
     for c in ordered:
-        if c.key in dominated:
-            continue
-        by_sed.setdefault(c.sedentarity, []).append(c)
+        if c.key not in dominated:
+            by_sed.setdefault(c.sedentarity, []).append(c)
     for group in by_sed.values():
         for a, b in itertools.combinations(group, 2):
             inter = intersect(a, b)
-            if inter is None:
-                continue
-            fa = _tight_face(a, inter)
-            fb = _tight_face(b, inter)
-            if fa.key != inter.key or fb.key != inter.key:
+            if inter is not None and not (inter.key in face_keys[a.key]
+                                          and inter.key in face_keys[b.key]):
                 raise ComplexAxiomError(
                     f"intersection of {a} and {b} is not a common face")
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .linalg import Vec, vec
+from .linalg import Vec, det, vec
 
 Monomial = tuple[int, ...]
 
@@ -163,7 +163,6 @@ def integrate_over_simplex(p: Poly, simplex_vertices: list[Vec]) -> Fraction:
         raise ValueError("simplex needs n+1 vertices")
     v0 = verts[0]
     edge_cols = [tuple(v[i] - v0[i] for v in verts[1:]) for i in range(n)]
-    from .linalg import det
     jac = det(tuple(edge_cols))
     if jac == 0:
         return Fraction(0)

@@ -15,10 +15,17 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from .convex import polyhedron_facets
 from .errors import DegreeError, DimensionError, UnboundedDomainError
-from .linalg import det, solve, sort_with_sign, vec, vsub
+from .linalg import Subspace, det, solve, sort_with_sign, vdot, vec, vsub
 from .polynomial import Poly, integrate_over_simplex
-from .polyhedral import Polyhedron, faces, lattice_quotient, normal_sum
+from .polyhedral import (
+    Polyhedron,
+    faces,
+    intersect,
+    lattice_quotient,
+    normal_sum,
+)
 
 
 class PolySuperform:
@@ -225,9 +232,6 @@ def triangulate_polytope(vertices, ambient_dim: int):
     Returns tuples of d+1 vertices each, where d is the polytope dimension;
     the union is the polytope and interiors are disjoint.
     """
-    from .convex import polyhedron_facets
-    from .linalg import Subspace, vdot
-
     verts = sorted({vec(v) for v in vertices})
     base = verts[0]
     span = [vsub(v, base) for v in verts[1:]]
@@ -342,7 +346,6 @@ def balanced_face_cancellation(complex_, beta: PolySuperform, box) -> dict:
     normals; all values vanish exactly when the complex is balanced at the
     mobile faces, since the net vector then lies in L(tau).
     """
-    from .polyhedral import intersect
     n = complex_.n
     if (beta.p, beta.q) != (n, n - 1):
         raise DegreeError(f"need an ({n},{n - 1})-form")

@@ -106,14 +106,6 @@ def _old_cone_rays(ineq_normals, eq_normals, ambient_dim):
     return lineality, sorted(rays)
 
 
-def _old_is_wrong(ineqs, eqs, dim):
-    # On R^1 with only zero rows the whole line is lineality, but the old
-    # section was computed as Subspace(1, []).perp(), which is {0} rather
-    # than Q^1, so the oracle also returned the ray (1,) inside it.
-    return (dim == 1 and ineqs and not any(map(any, ineqs))
-            and not any(map(any, eqs)))
-
-
 @st.composite
 def _systems(draw):
     """Integer rows in dimension 1-5 with duplicate, zero, opposite and
@@ -160,10 +152,7 @@ def _with_examples(test):
 @_with_examples
 def test_cone_rays_matches_subset_enumeration(system):
     dim, ineqs, eqs = system
-    expected = _old_cone_rays(ineqs, eqs, dim)
-    if _old_is_wrong(ineqs, eqs, dim):
-        expected = (expected[0], [])
-    assert cone_rays(ineqs, eqs, dim) == expected
+    assert cone_rays(ineqs, eqs, dim) == _old_cone_rays(ineqs, eqs, dim)
 
 
 @settings(max_examples=400, deadline=None)
@@ -175,10 +164,11 @@ def test_cone_facets_matches_subset_enumeration(system):
 
 
 def test_cone_rays_zero_rows_on_the_line():
-    # The one input where the oracle is wrong: every row is zero on R^1.
+    # Every row is zero on R^1, so the whole line is lineality and there is
+    # no ray; the oracle agrees now that Subspace(1, []).perp() is Q^1.
     assert cone_rays([[0]], [], 1) == ([(1,)], [])
     assert cone_rays([[0], [0]], [[0]], 1) == ([(1,)], [])
-    assert _old_cone_rays([[0]], [], 1) == ([(1,)], [(1,)])
+    assert _old_cone_rays([[0]], [], 1) == ([(1,)], [])
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """Cross-cutting spec invariants not tied to a single module."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -7,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import tropicoh
-from tropicoh import convex
+from tropicoh import convex, polyhedral
 from tropicoh.cohomology import (
     build_sheaf,
     inclusion_map,
@@ -164,3 +165,26 @@ def test_exact_kernel_returns_fractions():
         spaces.append(cell.tangent)
         spaces.extend(multitangent_space(c, i, p) for p in range(c.n + 1))
     assert all(type(x) is F for s in spaces for row in s.basis for x in row)
+
+
+def test_imports_at_module_level():
+    # No module breaks an import cycle, so every relative import sits at
+    # the top instead of running again on each call.
+    package = Path(tropicoh.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                assert not (isinstance(node, ast.ImportFrom) and node.level), (
+                    f"{path.name}:{node.lineno} imports inside {func.name}")
+
+
+def test_faces_found_by_faces_alone():
+    # Validation looks intersections up in the face sets the closure
+    # lists, and incidence signs take the outward side from
+    # relative-interior points instead of a primitive normal.
+    assert not hasattr(polyhedral, "_tight_face")
+    assert "lattice_quotient" not in inspect.getsource(
+        polyhedral._incidence_sign)

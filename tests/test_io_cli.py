@@ -275,6 +275,8 @@ _BAD_MATROID_FILES = [
 _BAD_COMPLEX_FILES = [
     {"ambient_dim": 1, "maximal_cells": [{"vertices": ["0"], "rays": ["1"]}]},
 ]
+# 1-based coordinates of the line in R^2 that do not exist.
+_BAD_PROJECT_COORDINATES = ["0", "3"]
 
 
 @pytest.mark.parametrize(
@@ -282,7 +284,9 @@ _BAD_COMPLEX_FILES = [
     [(c, f, None) for c, f in _BAD_STOKES_INPUTS]
     + [(None, None, a) for a in _BAD_GRAPH_ARGS]
     + [(m, None, ["os-dims", "--file"]) for m in _BAD_MATROID_FILES]
-    + [(c, None, ["validate"]) for c in _BAD_COMPLEX_FILES],
+    + [(c, None, ["validate"]) for c in _BAD_COMPLEX_FILES]
+    + [(LINE, None, ["project", "--coordinate", k])
+       for k in _BAD_PROJECT_COORDINATES],
     ids=["tropical-coord", "weight", "maximal-cells", "monomial-length",
          "tropical-coord-float", "weight-float", "weight-bool",
          "ambient-dim-float", "form-degree-float", "form-index-float",
@@ -291,7 +295,8 @@ _BAD_COMPLEX_FILES = [
          "os-dims-graph-triple", "matroid-uniform-float",
          "matroid-uniform-bool", "matroid-ground-size-float",
          "matroid-basis-float", "matroid-uniform-string",
-         "matroid-basis-strings", "cell-vertex-and-ray-strings"])
+         "matroid-basis-strings", "cell-vertex-and-ray-strings",
+         "project-coordinate-zero", "project-coordinate-too-large"])
 def test_cli_malformed_input_is_a_parse_error(tmp_path, capsys, data,
                                                form_data, argv):
     # `data` is written to a file: a complex for `stokes` when argv is

@@ -189,6 +189,18 @@ def test_quotient_primitive_codimension_error():
             Lattice(2, [[1, 0], [0, 1]]), Lattice(2, []), [1, 1])
 
 
+def test_quotient_primitive_needs_a_sublattice():
+    # Z_tau outside span(Z_sigma), then inside it with a half-integer
+    # coordinate: both are rejected by the one coordinates pass.
+    with pytest.raises(CodimensionError):
+        lattice_quotient_primitive(
+            Lattice(3, [[1, 0, 0], [0, 1, 0]]), Lattice(3, [[0, 0, 1]]),
+            [1, 1, 0])
+    with pytest.raises(CodimensionError):
+        lattice_quotient_primitive(
+            Lattice(2, [[2, 0], [0, 1]]), Lattice(2, [[1, 0]]), [0, 1])
+
+
 def test_quotient_primitive_is_primitive_mod_tau():
     rng = random.Random(11)
     for _ in range(20):
@@ -273,6 +285,19 @@ def test_subspace_sum_properties():
     assert a.sum(b) == b.sum(a)
     assert a.sum(b).sum(c) == a.sum(b.sum(c))
     assert a.sum(a) == a
+
+
+def test_perp_of_zero_subspace_is_everything():
+    # kernel_basis of a matrix with no rows has no columns to free, so the
+    # empty basis is padded with a zero row.
+    zero = Subspace(2, [])
+    assert zero.perp() == Subspace(2, [[1, 0], [0, 1]])
+    assert zero.intersection(Subspace(2, [[1, 0]])) == zero
+    assert Subspace(2, [[1, 0]]).intersection(zero) == zero
+    assert Subspace(2, [[1, 0], [0, 1]]).perp() == zero
+    assert Subspace(0, []).perp() == Subspace(0, [])
+    with pytest.raises(DimensionError):
+        zero.intersection(Subspace(3, []))
 
 
 def test_subspace_ambient_mismatch():

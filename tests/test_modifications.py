@@ -6,6 +6,7 @@ import pytest
 
 from tropicoh.cohomology import betti_tables
 from tropicoh.errors import (
+    DimensionError,
     IntegralityError,
     NotAModificationError,
 )
@@ -116,6 +117,14 @@ def test_project_line_recovers_modification():
 def test_project_plane_is_not_modification():
     with pytest.raises(NotAModificationError):
         project_modification(rn_complex(2), 1)
+
+
+def test_project_coordinate_out_of_range():
+    # Out of range, unit_vec is the zero vector, which lies in every
+    # tangent space; -1 would silently drop the last coordinate.
+    for coordinate in (-1, 2, 5):
+        with pytest.raises(DimensionError):
+            project_modification(tropical_line(), coordinate)
 
 
 def test_project_bergman_u34():

@@ -1,5 +1,6 @@
 """Polyhedra in T^r, complexes, sedentarity, balancing."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -17,11 +18,15 @@ from tropicoh.modifications import (
 )
 from tropicoh.linalg import (
     Subspace,
+    det,
+    idot,
     is_zero_vec,
     kernel_basis,
     mat,
     rref,
+    solve,
     unit_vec,
+    vadd,
     vdot,
     vec,
     vscale,
@@ -39,6 +44,7 @@ from tropicoh.polyhedral import (
     infinite_faces,
     intersect,
     is_balanced,
+    lattice_quotient,
     product,
     restrict_to_stratum,
     sedentarity_of,
@@ -611,3 +617,114 @@ def test_recession_cone_read_from_hrep(case):
     assert (new is None) == (old is None)
     if new is not None:
         assert new.key == old.key
+
+
+def _oracle_tight_face(p, sub):
+    """The smallest face of p containing the subset sub of p.
+
+    The earlier validation rule: an intersection was accepted when it
+    equals the tight face of each cell, instead of being looked up in the
+    face sets the closure lists.
+    """
+    ineqs = p.hrep[1]
+    tight = [(a, b) for a, b in ineqs
+             if all(convex.satisfies(v, [(a, b)], ()) for v in sub.vertices)
+             and all(idot(a, r) == 0 for r in sub.rays)]
+    verts = [v for v in p.vertices if convex.satisfies(v, tight, ())]
+    rays = [r for r in p.rays if all(idot(a, r) == 0 for a, _ in tight)]
+    return Polyhedron(p.ambient_dim, verts, rays, p.sedentarity)
+
+
+def _face_keys(p):
+    return {f.key for f in faces(p)}
+
+
+def _assert_face_verdicts_agree(a, b, inter):
+    for p in (a, b):
+        old = _oracle_tight_face(p, inter).key == inter.key
+        assert old == (inter.key in _face_keys(p)), (p, inter)
+
+
+_BUILD_CASES = dict(_COVER_CASES, **{
+    "bergman-u24": lambda: bergman_fan(uniform_matroid(2, 4))})
+
+
+@pytest.mark.parametrize("name", sorted(_BUILD_CASES))
+def test_common_faces_match_tight_face_oracle(name):
+    c = _BUILD_CASES[name]()
+    covered = {t for t, s in c.covers
+               if c.cells[t].sedentarity == c.cells[s].sedentarity}
+    top = [cell for i, cell in enumerate(c.cells) if i not in covered]
+    for a, b in itertools.combinations(top, 2):
+        inter = intersect(a, b)
+        if inter is not None:
+            _assert_face_verdicts_agree(a, b, inter)
+
+
+@st.composite
+def _non_face_pairs(draw):
+    """Pairs of cells meeting outside a common face: overlapping copies,
+    one cell inside another, and cells crossing at interior points."""
+    kind = draw(st.sampled_from(["overlap", "inside", "crossing"]))
+    dim = draw(st.integers(2, 3))
+    vector = st.lists(_coord, min_size=dim, max_size=dim).map(tuple)
+    if kind == "overlap":
+        a = Polyhedron(dim, draw(_points(dim, size=(2, 4))),
+                       draw(_points(dim, size=(0, 1))))
+        shift = draw(vector)
+        b = Polyhedron(dim, [vsub(v, vscale(F(1, 2), shift))
+                             for v in a.vertices], a.rays)
+    elif kind == "inside":
+        # Shrink toward the barycenter; rays may be dropped.
+        a = Polyhedron(dim, draw(_points(dim, size=(2, 4))),
+                       draw(_points(dim, size=(0, 2))))
+        center = a.relint_point()
+        t = F(draw(st.integers(1, 3)), 4)
+        b = Polyhedron(dim, [vadd(center, vscale(t, vsub(v, center)))
+                             for v in a.vertices],
+                       a.rays[:draw(st.integers(0, len(a.rays)))])
+    else:
+        center = draw(vector)
+        u, w = draw(vector), draw(vector)
+        assume(any(u) and any(w))
+        a, b = (Polyhedron(dim, [vsub(center, d), vadd(center, d)],
+                           draw(_points(dim, size=(0, 1))))
+                for d in (u, w))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_cell_pairs(), _non_face_pairs()))
+def test_validation_matches_tight_face_oracle(pair):
+    a, b = pair
+    assume(a.key != b.key)
+    inter = intersect(a, b)
+    common = inter is None
+    if inter is not None:
+        _assert_face_verdicts_agree(a, b, inter)
+        common = all(_oracle_tight_face(p, inter).key == inter.key
+                     for p in (a, b))
+    nested = a.key in _face_keys(b) or b.key in _face_keys(a)
+    if common and not nested:
+        build_complex([a, b])
+    else:
+        with pytest.raises(ComplexAxiomError):
+            build_complex([a, b])
+
+
+def _oracle_sign(c, t, s):
+    """Incidence sign with the outward side from minus the primitive
+    normal of tau in sigma, as before relative-interior points."""
+    tau, sigma = c.cells[t], c.cells[s]
+    cols = ([vscale(-1, lattice_quotient(sigma, tau))]
+            + [vec(b) for b in c.orientations[t]])
+    rows = tuple(solve(cols, vec(b)) for b in c.orientations[s])
+    return 1 if det(rows) > 0 else -1
+
+
+@pytest.mark.parametrize("name", sorted(_BUILD_CASES))
+def test_signs_match_primitive_normal_oracle(name):
+    c = _BUILD_CASES[name]()
+    for t, s in c.covers:
+        if c.cells[t].sedentarity == c.cells[s].sedentarity:
+            assert c.signs[(t, s)] == _oracle_sign(c, t, s), (t, s)
