@@ -57,9 +57,6 @@ class _SparseDiff:
                 del self.rows[i]
         self.cols.pop(j, None)
 
-    def nnz(self):
-        return sum(len(r) for r in self.rows.values())
-
 
 def betti_numbers(dims: list[int], diffs: list[dict]) -> list[int]:
     """Cohomology dimensions of 0 -> C^0 -> ... -> C^top -> 0.

@@ -23,7 +23,6 @@ from .linalg import (
     mat,
     mat_mul,
     mat_transpose,
-    p_subsets,
     subspace_sum,
     vdot,
     vec,
@@ -51,11 +50,21 @@ class CellularSheafDatum:
     space to the coface space; for COSHEAF the other way.  Maps must
     commute around every length-two diamond.  `signs`, when present, is a
     compatible incidence signing used by the compact-support engine.
+
+    The constructor checks shapes and diamonds, since it is the entry for
+    data from outside; a datum that commutes by construction is made with
+    `_unchecked` instead.
     """
 
     def __init__(self, cells, cover_maps, direction, signs=None):
         self._setup(cells, cover_maps, direction, signs)
         self._validate()
+
+    @classmethod
+    def _unchecked(cls, cells, cover_maps, direction, signs=None):
+        datum = cls.__new__(cls)
+        datum._setup(cells, cover_maps, direction, signs)
+        return datum
 
     def _setup(self, cells, cover_maps, direction, signs):
         if direction not in (SHEAF, COSHEAF):
@@ -71,9 +80,6 @@ class CellularSheafDatum:
     @property
     def n(self) -> int:
         return max((c.dim for c in self.cells), default=0)
-
-    def covers_of(self, i: int):
-        return sorted(j for (a, j) in self.cover_maps if a == i)
 
     def _validate(self):
         for (i, j), m in self.cover_maps.items():
@@ -111,9 +117,8 @@ class CellularSheafDatum:
             flipped[(i, j)] = t
         # Transposing keeps every shape consistent and every diamond
         # commuting, so the checks this datum passed are not run again.
-        dual = CellularSheafDatum.__new__(CellularSheafDatum)
-        dual._setup(self.cells, flipped, other, self.signs)
-        return dual
+        return CellularSheafDatum._unchecked(self.cells, flipped, other,
+                                             self.signs)
 
 
 # -- multi-tangent spaces on a geometric complex -------------------------------
@@ -150,36 +155,33 @@ def inclusion_map(c: PolyhedralComplex, tau_index: int, sigma_index: int,
                   p: int) -> Mat:
     """Matrix of i: F_p(sigma) -> F_p(tau) in the canonical bases.
 
-    For a sedentarity jump the map first applies the p-th wedge power of
-    the stratum projection (killing wedge coordinates that meet the
-    escaping directions) and then includes.
+    For a sedentarity jump the map is the p-th wedge power of the stratum
+    projection (killing wedge coordinates that meet the escaping
+    directions) followed by the inclusion.  Both bases are in reduced
+    echelon form, so the coordinates of an image are its entries at the
+    pivot columns of F_p(tau).  Tangent spaces vanish on their cell's
+    sedentary coordinates, so F_p(tau) is zero on every wedge coordinate
+    meeting sed(tau), which contains the escaping set: its pivots avoid
+    the killed coordinates and the map is a column selection.
     """
-    tau = c.cells[tau_index]
-    sigma = c.cells[sigma_index]
     f_tau = multitangent_space(c, tau_index, p)
     f_sigma = multitangent_space(c, sigma_index, p)
-    esc = tau.sedentarity - sigma.sedentarity
-    killed = [k for k, subset in enumerate(p_subsets(c.ambient_dim, p))
-              if any(i in esc for i in subset)]
-    cols = []
-    for b in f_sigma.basis:
-        img = list(b)
-        for k in killed:
-            img[k] = Fraction(0)
-        coords = f_tau.coords(tuple(img))
-        if coords is None:
-            raise ValidationError("image escapes the target multitangent space")
-        cols.append(coords)
-    return tuple(tuple(col[i] for col in cols) for i in range(f_tau.dim))
+    return tuple(tuple(b[k] for b in f_sigma.basis) for k in f_tau.pivots)
 
 
 def build_cosheaf(c: PolyhedralComplex, p: int) -> CellularSheafDatum:
-    """The cosheaf F_p with maps from cofaces to faces."""
+    """The cosheaf F_p with maps from cofaces to faces.
+
+    Every map is "kill the escaping coordinates, read the pivots"; two
+    kills compose to the kill of the union, so every diamond commutes by
+    construction and the constructor's checks are skipped.
+    """
     spaces = [multitangent_space(c, i, p) for i in range(len(c.cells))]
     cells = [SheafCell(f"c{i}", c.cells[i].dim, spaces[i].dim)
              for i in range(len(c.cells))]
     maps = {(t, s): inclusion_map(c, t, s, p) for t, s in c.covers}
-    return CellularSheafDatum(cells, maps, COSHEAF, signs=dict(c.signs))
+    return CellularSheafDatum._unchecked(cells, maps, COSHEAF,
+                                         signs=dict(c.signs))
 
 
 def build_sheaf(c: PolyhedralComplex, p: int) -> CellularSheafDatum:

@@ -147,11 +147,6 @@ def save_complex(c: PolyhedralComplex, path):
 # -- matroids -------------------------------------------------------------------
 
 
-def matroid_to_dict(m: Matroid) -> dict:
-    return {"ground_size": len(m.ground),
-            "bases": sorted(sorted(b) for b in m.bases)}
-
-
 def load_matroid(path) -> Matroid:
     data = _load_json(path)
     try:
@@ -190,6 +185,8 @@ def cellsheaf_from_dict(data) -> CellularSheafDatum:
                              parse_int(entry["space_dim"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad cell entry: {exc}") from exc
+        if cell.dim < 0 or cell.space_dim < 0:
+            raise ParseError(f"negative dimension in cell {cell.id}")
         if cell.id in index:
             raise ParseError(f"duplicate cell id {cell.id}")
         index[cell.id] = len(cells)

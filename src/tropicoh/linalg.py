@@ -216,7 +216,7 @@ class Subspace:
     Two subspaces are equal iff their canonical bases coincide.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "basis", "pivots")
 
     def __init__(self, ambient_dim: int, spanning_vectors=()):
         if ambient_dim < 0:
@@ -227,7 +227,10 @@ class Subspace:
                 raise DimensionError(
                     f"vector of length {len(r)} in ambient dimension {ambient_dim}")
         self.ambient_dim = ambient_dim
-        self.basis = tuple(rref(rows)[0])
+        basis, pivots = rref(rows)
+        self.basis = tuple(basis)
+        # The leading column of each basis row, increasing.
+        self.pivots = tuple(pivots)
 
     @property
     def dim(self) -> int:
@@ -245,8 +248,7 @@ class Subspace:
         v = vec(v)
         if len(v) != self.ambient_dim:
             raise DimensionError("coords: ambient mismatch")
-        pivots = [next(i for i, x in enumerate(row) if x != 0) for row in self.basis]
-        coeffs = tuple(v[p] for p in pivots)
+        coeffs = tuple(v[p] for p in self.pivots)
         acc = zero_vec(self.ambient_dim)
         for c, row in zip(coeffs, self.basis):
             acc = vadd(acc, vscale(c, row))

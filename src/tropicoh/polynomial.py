@@ -113,9 +113,6 @@ class Poly:
             images.append(Poly(nv_new, t))
         return self.substitute(images)
 
-    def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
-
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.nvars == other.nvars
                 and self.terms == other.terms)

@@ -23,7 +23,15 @@ from tropicoh.cohomology import (
     pd_report,
 )
 from tropicoh.errors import BalancingRequiredError, ValidationError
-from tropicoh.linalg import Subspace, mat_transpose, mat, mat_vec, vec
+from tropicoh.linalg import (
+    Subspace,
+    mat,
+    mat_transpose,
+    mat_vec,
+    p_subsets,
+    vec,
+)
+from tropicoh.matroids import bergman_fan, uniform_matroid
 from tropicoh.polyhedral import (
     Polyhedron,
     build_complex,
@@ -45,6 +53,15 @@ def axes_complex():
     return build_complex([(Polyhedron(2, [(0, 0)], [r]), 1) for r in rays])
 
 
+def subdivided_line():
+    rays = [(-1, 0), (0, -1), (1, 1)]
+    cells = []
+    for r in rays:
+        cells.append((Polyhedron(2, [(0, 0), r]), 1))
+        cells.append((Polyhedron(2, [r], [r]), 1))
+    return build_complex(cells)
+
+
 def r1_complex():
     return build_complex([(Polyhedron(1, [(0,)], [(1,)]), 1),
                           (Polyhedron(1, [(0,)], [(-1,)]), 1)])
@@ -63,6 +80,24 @@ def rn_complex(n):
         rays.append(tuple(e))
         rays.append(tuple(-x for x in e))
     return build_complex([(Polyhedron(n, [tuple([0] * n)], rays), 1)])
+
+
+@pytest.fixture(scope="module")
+def sheaf_corpus():
+    """The criterion-10 balanced corpus, then fans times tori and closures,
+    whose covers also jump in sedentarity."""
+    def fan(r, n):
+        return bergman_fan(uniform_matroid(r, n))
+    return [
+        tropical_line(), axes_complex(), r1_complex(), rn_complex(2),
+        fan(2, 3), fan(3, 4), t1_complex(), closure_in(tropical_line(), [1]),
+        subdivided_line(), product(tropical_line(), 1, tropical=False),
+        product(fan(2, 3), 1, tropical=True),
+        product(fan(2, 3), 2, tropical=True),
+        product(fan(3, 4), 1, tropical=True),
+        closure_in(fan(2, 3), [0, 1]), closure_in(fan(2, 4), [0, 1]),
+        closure_in(fan(3, 4), [2]),
+    ]
 
 
 # -- multitangent spaces -------------------------------------------------------
@@ -107,6 +142,42 @@ def test_inclusion_map_jump_to_zero_space():
     edge = next(i for i, c in enumerate(t1.cells) if c.dim == 1)
     m = inclusion_map(t1, sed, edge, 1)
     assert m == ()  # zero-dimensional target
+
+
+def _old_inclusion_map(c, tau_index, sigma_index, p):
+    """Frozen oracle: kill the wedge coordinates that meet the escaping
+    directions, then solve for coordinates in F_p(tau)."""
+    esc = c.cells[tau_index].sedentarity - c.cells[sigma_index].sedentarity
+    killed = [k for k, subset in enumerate(p_subsets(c.ambient_dim, p))
+              if any(i in esc for i in subset)]
+    f_tau = multitangent_space(c, tau_index, p)
+    cols = []
+    for b in multitangent_space(c, sigma_index, p).basis:
+        img = list(b)
+        for k in killed:
+            img[k] = F(0)
+        coords = f_tau.coords(tuple(img))
+        assert coords is not None, "image escapes the target space"
+        cols.append(coords)
+    return tuple(tuple(col[i] for col in cols) for i in range(f_tau.dim))
+
+
+def test_inclusion_maps_match_coords_oracle(sheaf_corpus):
+    # Pivot reads and solving for coordinates give the same matrices, so
+    # the pivots of F_p(face) never meet a killed coordinate.
+    jumps = 0
+    for c in sheaf_corpus:
+        for p in range(c.n + 1):
+            for t, s in c.covers:
+                assert inclusion_map(c, t, s, p) == \
+                    _old_inclusion_map(c, t, s, p), (c, t, s, p)
+                jumps += c.cells[t].sedentarity != c.cells[s].sedentarity
+            for i in range(len(c.cells)):
+                dim = multitangent_space(c, i, p).dim
+                assert inclusion_map(c, i, i, p) == tuple(
+                    tuple(F(1 if a == b else 0) for b in range(dim))
+                    for a in range(dim))
+    assert jumps
 
 
 def test_cosheaf_and_sheaf_shapes():
@@ -327,9 +398,11 @@ def test_noncommuting_diamond_rejected():
         CellularSheafDatum(cells, maps, SHEAF)
 
 
-def test_noncommuting_cosheaf_rejected_and_transposes_stay_valid():
-    # A datum built from outside is checked in either direction; transpose()
-    # skips the re-check because transposing keeps every diamond commuting.
+def test_noncommuting_cosheaf_rejected_and_transposes_stay_valid(
+        sheaf_corpus):
+    # A datum built from outside is checked in either direction; built
+    # sheaves and transposes skip the checks, since their diamonds commute
+    # by construction, so the checks are run on them here instead.
     cells = [SheafCell("p", 0, 1), SheafCell("a", 1, 1), SheafCell("b", 1, 1),
              SheafCell("t", 2, 1)]
     one = ((F(1),),)
@@ -337,12 +410,14 @@ def test_noncommuting_cosheaf_rejected_and_transposes_stay_valid():
     maps = {(0, 1): one, (0, 2): one, (1, 3): one, (2, 3): two}
     with pytest.raises(ValidationError, match="non-commuting diamond"):
         CellularSheafDatum(cells, maps, COSHEAF)
-    c = product(tropical_line(), 1, tropical=True)
-    for p in range(c.n + 1):
-        sheaf = build_sheaf(c, p)
-        assert sheaf.direction == SHEAF
-        sheaf._validate()
-        sheaf.transpose()._validate()
+    for c in [product(tropical_line(), 1, tropical=True)] + sheaf_corpus:
+        for p in range(c.n + 1):
+            cosheaf = build_cosheaf(c, p)
+            sheaf = build_sheaf(c, p)
+            assert cosheaf.direction == COSHEAF and sheaf.direction == SHEAF
+            for datum in (cosheaf, sheaf):
+                datum._validate()
+                datum.transpose()._validate()
 
 
 def test_three_middle_cells_admit_no_signing():

@@ -8,8 +8,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import tropicoh
-from tropicoh import convex, polyhedral
+from tropicoh import cohomology, convex, polyhedral
 from tropicoh.cohomology import (
+    build_cosheaf,
     build_sheaf,
     inclusion_map,
     multitangent_space,
@@ -104,7 +105,6 @@ def test_betti_tables_zero_above_dimension():
 
 
 def test_constant_cosheaf_on_line():
-    from tropicoh.cohomology import build_cosheaf
     cos = build_cosheaf(tropical_line(), 0)
     assert all(c.space_dim == 1 for c in cos.cells)
     assert all(m == ((F(1),),) for m in cos.cover_maps.values())
@@ -188,3 +188,27 @@ def test_faces_found_by_faces_alone():
     assert not hasattr(polyhedral, "_tight_face")
     assert "lattice_quotient" not in inspect.getsource(
         polyhedral._incidence_sign)
+
+
+def test_unchecked_sheaf_datum_only_built_in_cohomology():
+    # Data from outside goes through the checking constructor; only the
+    # sheaf build and transpose, whose diamonds commute by construction,
+    # skip the checks.  The sheaf maps are pivot reads, not coordinate
+    # solves.
+    package = Path(tropicoh.__file__).parent
+    callers = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "_unchecked":
+                assert path.name == "cohomology.py", (
+                    f"{path.name}:{node.lineno} skips the datum checks")
+        if path.name == "cohomology.py":
+            callers = {func.name for func in ast.walk(tree)
+                       if isinstance(func, ast.FunctionDef)
+                       and "._unchecked(" in ast.unparse(func)}
+    assert callers == {"transpose", "build_cosheaf"}
+    for func in (inclusion_map, build_cosheaf):
+        source = inspect.getsource(func)
+        assert "coords(" not in source and "_validate" not in source
+    assert "image escapes" not in inspect.getsource(cohomology)

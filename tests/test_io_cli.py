@@ -348,6 +348,23 @@ def test_cli_non_integer_field_is_a_parse_error(tmp_path, capsys, verb,
     assert json.loads(out)["error"] == "parse"
 
 
+@pytest.mark.parametrize("cell", [
+    {"id": "a", "dim": 0, "space_dim": -1},
+    {"id": "a", "dim": -1, "space_dim": 1},
+], ids=["space-dim", "dim"])
+def test_cli_negative_sheaf_dimension_is_a_parse_error(tmp_path, capsys,
+                                                        cell):
+    # A negative space_dim used to report a negative Betti number and a
+    # negative dim to crash the ordinary engine with an IndexError.
+    path = tmp_path / "sheaf.json"
+    path.write_text(json.dumps({"cells": [cell], "relations": []}))
+    code = main(["cellsheaf-betti", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["error"] == "parse"
+    assert "Traceback" not in captured.err
+
+
 def test_cli_determinism(tmp_path, capsys):
     path = tmp_path / "line.json"
     tio.save_complex(tropical_line(), path)

@@ -449,6 +449,24 @@ def test_det_of_empty_matrix():
     assert det(()) == 1 and type(det(())) is F
 
 
+@settings(max_examples=300, deadline=None)
+@given(_rational_rows())
+def test_subspace_pivots_are_where_coords_read(shape_rows):
+    # Each basis row leads with a 1 at its pivot, every other row is zero
+    # there, so the pivot entries of a vector are its coordinates.
+    ncols, rows = shape_rows
+    space = Subspace(ncols, rows)
+    pivots = space.pivots
+    assert len(pivots) == space.dim
+    assert all(a < b for a, b in zip(pivots, pivots[1:]))
+    for k, (row, col) in enumerate(zip(space.basis, pivots)):
+        assert row[col] == 1 and not any(row[:col])
+        assert all(other[col] == 0
+                   for j, other in enumerate(space.basis) if j != k)
+        assert space.coords(row) == tuple(
+            F(1 if j == k else 0) for j in range(space.dim))
+
+
 # Integer normal forms -------------------------------------------------------
 
 
