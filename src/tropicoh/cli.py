@@ -207,6 +207,9 @@ def cmd_stokes(args):
     n = c.n
     if args.form:
         beta = tio.load_superform(args.form)
+        if beta.ambient_dim != c.ambient_dim:
+            raise ParseError(f"--form has ambient_dim {beta.ambient_dim}, "
+                             f"the complex {c.ambient_dim}")
     else:
         # Default detector: the constant-coefficient form d'x_1 ^ ... with
         # the first n coordinates in the d'-part and n-1 in the d''-part.

@@ -82,6 +82,9 @@ class CellularSheafDatum:
         return max((c.dim for c in self.cells), default=0)
 
     def _validate(self):
+        for c in self.cells:
+            if c.dim < 0 or c.space_dim < 0:
+                raise ValidationError(f"negative dimension in cell {c.id}")
         for (i, j), m in self.cover_maps.items():
             lo, hi = self.cells[i], self.cells[j]
             if hi.dim != lo.dim + 1:
@@ -327,21 +330,14 @@ def ordinary_cohomology(datum: CellularSheafDatum, cone_shortcut=True
     for (i, j) in datum.cover_maps:
         ups[i].add(j)
     if cone_shortcut:
+        # Dimensions rise by one along every cover, so each cell lies above
+        # some minimal cell, and a unique minimal cell is the minimum.
         has_lower = {j for (_, j) in datum.cover_maps}
         minimal = [i for i in range(ncells) if i not in has_lower]
         if len(minimal) == 1:
-            m = minimal[0]
-            seen = {m}
-            frontier = [m]
-            while frontier:
-                for j in ups[frontier.pop()]:
-                    if j not in seen:
-                        seen.add(j)
-                        frontier.append(j)
-            if len(seen) == ncells:
-                out = [0] * (n + 1)
-                out[0] = datum.cells[m].space_dim
-                return tuple(out)
+            out = [0] * (n + 1)
+            out[0] = datum.cells[minimal[0]].space_dim
+            return tuple(out)
     # Full restriction maps along arbitrary comparable pairs, composed
     # from covering maps top-down (commutation makes the path irrelevant).
     full: dict = {pair: mat(m) for pair, m in datum.cover_maps.items()}

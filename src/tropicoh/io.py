@@ -223,6 +223,10 @@ def plfunction_from_dict(data, reference=None) -> PLFunction:
             mode = data.get("mode", "max")
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad tropical polynomial: {exc}") from exc
+        if reference is not None and any(
+                len(e) != reference.ambient_dim for _, e in terms):
+            raise ParseError(f"exponents must have length "
+                             f"{reference.ambient_dim}")
         return PLFunction(mode, terms=terms)
     if "per_facet" in data:
         if reference is None:
@@ -239,6 +243,9 @@ def plfunction_from_dict(data, reference=None) -> PLFunction:
                 raise ParseError(f"bad per-facet entry: {exc}") from exc
             if idx < 0 or idx >= len(facets):
                 raise ParseError(f"cell_id {idx} out of range")
+            if len(lin) != reference.ambient_dim:
+                raise ParseError(f"linear must have length "
+                                 f"{reference.ambient_dim}")
             key = reference.cells[facets[idx]].key
             per_facet[key] = (lin, const)
         return PLFunction(per_facet=per_facet)

@@ -237,22 +237,35 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, v) -> bool:
-        return self.coords(v) is not None
+        return not any(self.reduce(v))
 
     def coords(self, v):
         """Coordinates of v in the canonical basis, or None if v is outside.
 
-        With the basis in reduced echelon form the coordinates can be read
-        off the pivot columns; the result is verified by reassembly.
+        v lies in the span exactly when `reduce(v)` is zero, and its
+        coordinates are then its entries at the pivot columns.
+        """
+        v = vec(v)
+        if any(self.reduce(v)):
+            return None
+        return tuple(v[p] for p in self.pivots)
+
+    def reduce(self, v) -> Vec:
+        """Canonical representative of v modulo this subspace.
+
+        v minus the vector of the subspace that agrees with v at the pivot
+        columns, so the result is zero at every pivot; the twin of
+        `Lattice.reduce`.
         """
         v = vec(v)
         if len(v) != self.ambient_dim:
-            raise DimensionError("coords: ambient mismatch")
-        coeffs = tuple(v[p] for p in self.pivots)
-        acc = zero_vec(self.ambient_dim)
-        for c, row in zip(coeffs, self.basis):
-            acc = vadd(acc, vscale(c, row))
-        return coeffs if acc == v else None
+            raise DimensionError("reduce: ambient mismatch")
+        rem = v
+        for p, row in zip(self.pivots, self.basis):
+            c = v[p]
+            if c:
+                rem = tuple(x - c * y for x, y in zip(rem, row))
+        return rem
 
     def sum(self, *others: "Subspace") -> "Subspace":
         for o in others:
@@ -543,6 +556,8 @@ class Lattice:
     def coords(self, v):
         """Rational coordinates of v in the HNF basis, or None."""
         v = vec(v)
+        if len(v) != self.ambient_dim:
+            raise DimensionError("coords: ambient mismatch")
         coeffs = []
         rem = list(v)
         for row in self.basis:
@@ -594,25 +609,25 @@ def lattice_quotient_primitive(z_sigma: Lattice, z_tau: Lattice, interior_witnes
     if any(c is None or any(x.denominator != 1 for x in c) for c in m):
         raise CodimensionError("Z_tau is not a sublattice of Z_sigma")
     k = z_tau.rank
+    # With U m V = D, the rows of V^{-1} are a basis of Z_sigma whose first
+    # k rows span Z_tau over Q; row k is the generator, and column k of V
+    # reads its coefficient off coordinates in the basis of Z_sigma.
     if k == 0:
-        nu = z_sigma.basis[0]
+        v = ((Fraction(1),),)
     else:
-        u, d, v = smith_normal_form([[int(x) for x in c] for c in m])
-        v_inv = _mat_inverse(v)
-        gen_coords = v_inv[k]
-        nu = zero_vec(z_sigma.ambient_dim)
-        for c, b in zip(gen_coords, z_sigma.basis):
-            nu = vadd(nu, vscale(c, b))
+        _, _, v = smith_normal_form([[int(x) for x in c] for c in m])
+    nu = zero_vec(z_sigma.ambient_dim)
+    for c, b in zip(_mat_inverse(v)[k], z_sigma.basis):
+        nu = vadd(nu, vscale(c, b))
     # Orient toward the witness: the witness class in span(sigma)/span(tau)
     # must be a positive multiple of nu's class.
-    w = vec(interior_witness)
-    cols = [nu] + [vec(b) for b in z_tau.basis]
-    sol = solve(cols, w)
-    if sol is None:
+    w = z_sigma.coords(interior_witness)
+    if w is None:
         raise CodimensionError("witness does not lie in span(Z_sigma)")
-    if sol[0] == 0:
+    a = sum((c * row[k] for c, row in zip(w, v)), Fraction(0))
+    if a == 0:
         raise CodimensionError("witness lies in span(Z_tau); cannot orient")
-    if sol[0] < 0:
+    if a < 0:
         nu = vscale(-1, nu)
     return z_tau.reduce(nu)
 

@@ -205,12 +205,12 @@ def complete_modification(w: PolyhedralComplex, p: PLFunction
         total = normal_sum(graph, t)
         if total is None or tau.lattice.contains(total):
             continue
-        cols = [vec(b) for b in tau.tangent.basis] + [e_last]
-        sol = solve(cols, total)
-        if sol is None:
+        # A graph has no vertical direction, so the last column is never a
+        # pivot of L(tau) and total mod L(tau) must be a multiple of e_last.
+        *rest, weight = tau.tangent.reduce(total)
+        if any(rest):
             raise ModificationError(
                 f"defect at {tau} is not a vertical multiple")
-        weight = sol[-1]
         if weight.denominator != 1 or weight == 0:
             raise ModificationError(
                 f"no integer clearing weight at {tau}")

@@ -24,7 +24,6 @@ from .linalg import (
     is_zero_vec,
     lattice_quotient_primitive,
     primitive,
-    solve,
     unit_vec,
     vadd,
     vdot,
@@ -397,55 +396,36 @@ class PolyhedralComplex:
         return f"PolyhedralComplex(T^{self.ambient_dim}: {desc})"
 
 
-def _escape_vector(sigma: Polyhedron, esc: frozenset[int]):
-    """Primitive vector of L(sigma) supported on the escaping coordinates.
-
-    Exists and is unique up to sign for a covering sedentarity jump;
-    normalized to have negative entries (the direction of escape).
-    """
-    inter = sigma.tangent.intersection(
-        Subspace(sigma.ambient_dim,
-                 [unit_vec(sigma.ambient_dim, i) for i in esc]))
-    if inter.dim != 1:
-        raise ComplexAxiomError("sedentarity jump is not corank one")
-    w = primitive(inter.basis[0])
-    if any(x > 0 for x in w):
-        w = tuple(-x for x in w)
-    return vec(w)
-
-
 def _incidence_sign(tau: Polyhedron, sigma: Polyhedron) -> int:
-    """Orientation sign of a covering pair using the outward convention."""
-    o_sigma = _orientation(sigma)
-    o_tau = _orientation(tau)
+    """Orientation sign of a covering pair using the outward convention.
+
+    The sign is that of det M, where o_sigma = M (u, o_tau) for a vector u
+    pointing out of sigma through tau.  On k columns R where (u, o_tau)
+    has a nonzero minor, det(o_sigma|R) = det M * det((u, o_tau)|R), so two
+    integer minors decide it.  R is the pivots of L(tau) plus the first
+    column where u is nonzero modulo L(tau).
+    """
     if tau.sedentarity == sigma.sedentarity:
         # A positive multiple of minus the primitive normal plus a vector of
-        # L(tau), so the determinant below has the same sign as with it.
-        outward = vsub(tau.relint_point(), sigma.relint_point())
-        cols = [outward] + [vec(b) for b in o_tau]
+        # L(tau), so the determinant has the same sign as with it.
+        u = vsub(tau.relint_point(), sigma.relint_point())
     else:
-        esc = tau.sedentarity - sigma.sedentarity
-        w = _escape_vector(sigma, esc)
-        pre = []
-        proj_basis = [tuple(Fraction(0) if i in esc else x
-                            for i, x in enumerate(bv))
-                      for bv in sigma.tangent.basis]
-        for b in o_tau:
-            sol = solve(proj_basis, vec(b))
-            if sol is None:
-                raise ComplexAxiomError("stratum face not dominated by cell")
-            x = zero_vec(sigma.ambient_dim)
-            for c, bv in zip(sol, sigma.tangent.basis):
-                x = vadd(x, vscale(c, bv))
-            pre.append(x)
-        cols = [w] + pre
-    rows = []
-    for b in o_sigma:
-        sol = solve(cols, vec(b))
-        if sol is None:
-            raise ComplexAxiomError("orientation bases are inconsistent")
-        rows.append(sol)
-    d = det(tuple(rows))
+        # Across a jump the outward direction is the escape vector w of
+        # L(sigma): negative on the escaping coordinates and zero on the
+        # pivots of L(tau), where lifts of o_tau into L(sigma) agree with
+        # o_tau.  Expanded along u's row, the minors with -e_j and o_tau
+        # have the signs of those with w and the lifts.
+        j = min(tau.sedentarity - sigma.sedentarity)
+        u = vscale(-1, unit_vec(tau.ambient_dim, j))
+    extra = next((i for i, x in enumerate(tau.tangent.reduce(u)) if x), None)
+    if extra is None:
+        raise ComplexAxiomError("degenerate incidence")
+    cols = sorted(tau.tangent.pivots + (extra,))
+
+    def minor(rows):
+        return det(tuple(tuple(r[i] for i in cols) for r in rows))
+
+    d = minor(_orientation(sigma)) * minor((u,) + _orientation(tau))
     if d == 0:
         raise ComplexAxiomError("degenerate incidence")
     return 1 if d > 0 else -1

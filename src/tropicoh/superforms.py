@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .convex import polyhedron_facets
 from .errors import DegreeError, DimensionError, UnboundedDomainError
-from .linalg import Subspace, det, solve, sort_with_sign, vdot, vec, vsub
+from .linalg import Subspace, det, sort_with_sign, vdot, vec, vsub
 from .polynomial import Poly, integrate_over_simplex
 from .polyhedral import (
     Polyhedron,
@@ -252,14 +252,6 @@ def triangulate_polytope(vertices, ambient_dim: int):
     return out
 
 
-def _restrict_to_parameters(alpha: PolySuperform, cell: Polyhedron):
-    """Pull alpha back along t -> v0 + sum t_j b_j for a lattice basis b."""
-    basis = [vec(b) for b in cell.lattice.basis]
-    v0 = cell.vertices[0]
-    rows = [tuple(b[i] for b in basis) for i in range(cell.ambient_dim)]
-    return pullback(rows, v0, alpha), basis, v0
-
-
 def integrate_cell(alpha: PolySuperform, cell: Polyhedron) -> Fraction:
     """Exact integral of an (n,n)-form over a bounded n-cell.
 
@@ -275,7 +267,11 @@ def integrate_cell(alpha: PolySuperform, cell: Polyhedron) -> Fraction:
     if n == 0:
         f = alpha.terms.get(((), ()))
         return f.evaluate(cell.vertices[0]) if f else Fraction(0)
-    restricted, basis, v0 = _restrict_to_parameters(alpha, cell)
+    # Pull alpha back along t -> v0 + sum t_j b_j for the lattice basis b.
+    v0 = cell.vertices[0]
+    rows = [tuple(Fraction(b[i]) for b in cell.lattice.basis)
+            for i in range(cell.ambient_dim)]
+    restricted = pullback(rows, v0, alpha)
     full = tuple(range(n))
     g = restricted.terms.get((full, full))
     if g is None:
@@ -283,11 +279,7 @@ def integrate_cell(alpha: PolySuperform, cell: Polyhedron) -> Fraction:
     # Interleaved-vs-sorted normalization of the top form.
     f_alpha = g.scale((-1) ** (n * (n - 1) // 2))
     # Parameter-domain vertices: coordinates of vertex - v0 in the basis.
-    cols = basis
-    param_verts = []
-    for v in cell.vertices:
-        sol = solve(cols, vsub(v, v0))
-        param_verts.append(vec(sol))
+    param_verts = [cell.lattice.coords(vsub(v, v0)) for v in cell.vertices]
     total = Fraction(0)
     for simplex in triangulate_polytope(param_verts, n):
         if len(simplex) != n + 1:
@@ -347,6 +339,9 @@ def balanced_face_cancellation(complex_, beta: PolySuperform, box) -> dict:
     mobile faces, since the net vector then lies in L(tau).
     """
     n = complex_.n
+    if beta.ambient_dim != complex_.ambient_dim:
+        raise DimensionError(f"a form on R^{beta.ambient_dim} on a complex "
+                             f"in T^{complex_.ambient_dim}")
     if (beta.p, beta.q) != (n, n - 1):
         raise DegreeError(f"need an ({n},{n - 1})-form")
     box_poly = _box_polyhedron(box, complex_.ambient_dim)

@@ -388,6 +388,16 @@ def test_constant_system_components():
     assert ordinary_cohomology(datum) == (2,)
 
 
+@pytest.mark.parametrize("cell", [SheafCell("a", 0, -1),
+                                  SheafCell("a", -1, 1)],
+                         ids=["space-dim", "dim"])
+def test_negative_dimension_rejected(cell):
+    # The first used to give ordinary cohomology (-1,), the second a bare
+    # IndexError.
+    with pytest.raises(ValidationError, match="negative dimension"):
+        CellularSheafDatum([cell], {}, SHEAF)
+
+
 def test_noncommuting_diamond_rejected():
     cells = [SheafCell("p", 0, 1), SheafCell("a", 1, 1), SheafCell("b", 1, 1),
              SheafCell("t", 2, 1)]

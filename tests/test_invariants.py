@@ -212,3 +212,30 @@ def test_unchecked_sheaf_datum_only_built_in_cohomology():
         source = inspect.getsource(func)
         assert "coords(" not in source and "_validate" not in source
     assert "image escapes" not in inspect.getsource(cohomology)
+
+
+def test_coordinates_read_at_pivots():
+    # Coordinates in an echelon or Hermite basis are read at its pivots
+    # (`Subspace.reduce`, `Lattice.coords`); a linear solve is left only
+    # where no such basis is at hand.
+    package = Path(tropicoh.__file__).parent
+    callers = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == "solve"):
+                    callers.append((path.name, func.name))
+    assert callers == [("modifications.py", "_solve_linear_functional")]
+    assert not hasattr(polyhedral, "_escape_vector")
+    calls = {node.func.id if isinstance(node.func, ast.Name)
+             else node.func.attr
+             for node in ast.walk(ast.parse(
+                 inspect.getsource(polyhedral._incidence_sign)))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, (ast.Name, ast.Attribute))}
+    assert not calls & {"solve", "intersection"}

@@ -235,6 +235,18 @@ LINE = {"ambient_dim": 2, "maximal_cells": [
 FORM = {"ambient_dim": 2, "p": 1, "q": 0,
         "terms": [{"K": [1], "L": [],
                    "poly": [{"coeff": "1", "exponents": [1, 0]}]}]}
+R1 = {"ambient_dim": 1, "maximal_cells": [
+    {"vertices": [["0"]], "rays": [r]} for r in (["1"], ["-1"])]}
+UNBALANCED_LINE = dict(LINE, maximal_cells=[
+    dict(cell, weight=w) for cell, w in zip(LINE["maximal_cells"], (1, 1, 2))])
+
+
+def _constant_form(ambient, k):
+    # d'x_k with coefficient 1, for a line (n = 1).
+    return {"ambient_dim": ambient, "p": 1, "q": 0,
+            "terms": [{"K": [k], "L": [],
+                       "poly": [{"coeff": "1",
+                                 "exponents": [0] * ambient}]}]}
 
 
 _BAD_STOKES_INPUTS = [
@@ -255,6 +267,17 @@ _BAD_STOKES_INPUTS = [
     (LINE, dict(FORM, terms=[dict(FORM["terms"][0], K=[1.5])])),
     (LINE, dict(FORM, terms=[dict(FORM["terms"][0], poly=[
         {"coeff": "1", "exponents": [0.5, 0]}])])),
+    # A form on R^1 used to report "0" on the unbalanced line in R^2, and
+    # one on R^3 to crash with an IndexError.
+    (UNBALANCED_LINE, _constant_form(1, 1)),
+    (UNBALANCED_LINE, _constant_form(3, 3)),
+]
+# Functions for `modify` and `closed-modify` on R as two rays (R1), whose
+# vectors have the wrong length; each used to crash in `vdot`.
+_BAD_FUNCTIONS = [
+    {"terms": [{"coeff": "0", "exponents": [0, 0]}]},
+    {"terms": [{"coeff": "0", "exponents": []}]},
+    {"per_facet": [{"cell_id": 0, "linear": [1, 0], "constant": 0}]},
 ]
 _BAD_GRAPH_ARGS = [
     ["bergman", "--graph", "a,b"],
@@ -286,32 +309,41 @@ _BAD_PROJECT_COORDINATES = ["0", "3"]
     + [(m, None, ["os-dims", "--file"]) for m in _BAD_MATROID_FILES]
     + [(c, None, ["validate"]) for c in _BAD_COMPLEX_FILES]
     + [(LINE, None, ["project", "--coordinate", k])
-       for k in _BAD_PROJECT_COORDINATES],
+       for k in _BAD_PROJECT_COORDINATES]
+    + [(R1, f, [verb]) for verb in ("modify", "closed-modify")
+       for f in _BAD_FUNCTIONS],
     ids=["tropical-coord", "weight", "maximal-cells", "monomial-length",
          "tropical-coord-float", "weight-float", "weight-bool",
          "ambient-dim-float", "form-degree-float", "form-index-float",
-         "form-exponent-float", "bergman-graph-letters",
+         "form-exponent-float", "form-ambient-too-small",
+         "form-ambient-too-large", "bergman-graph-letters",
          "bergman-graph-triple", "os-dims-graph-letters",
          "os-dims-graph-triple", "matroid-uniform-float",
          "matroid-uniform-bool", "matroid-ground-size-float",
          "matroid-basis-float", "matroid-uniform-string",
          "matroid-basis-strings", "cell-vertex-and-ray-strings",
-         "project-coordinate-zero", "project-coordinate-too-large"])
+         "project-coordinate-zero", "project-coordinate-too-large",
+         "modify-exponents-too-long", "modify-exponents-empty",
+         "modify-linear-too-long", "closed-modify-exponents-too-long",
+         "closed-modify-exponents-empty", "closed-modify-linear-too-long"])
 def test_cli_malformed_input_is_a_parse_error(tmp_path, capsys, data,
                                                form_data, argv):
     # `data` is written to a file: a complex for `stokes` when argv is
-    # None, otherwise the file argument that ends argv.
+    # None, otherwise the file argument after argv.  `form_data` is the
+    # `--form` file of `stokes`, or the file argument that then ends argv.
     if data is not None:
         path = tmp_path / "input.json"
         path.write_text(json.dumps(data))
+        form = tmp_path / "form.json"
+        form.write_text(json.dumps(form_data))
         if argv is None:
             argv = ["stokes", str(path)]
             if form_data is not None:
-                form = tmp_path / "form.json"
-                form.write_text(json.dumps(form_data))
                 argv += ["--form", str(form)]
         else:
             argv = argv + [str(path)]
+            if form_data is not None:
+                argv.append(str(form))
     code, out = run_cli(argv, capsys)
     assert code == 2
     assert json.loads(out)["error"] == "parse"
@@ -320,8 +352,6 @@ def test_cli_malformed_input_is_a_parse_error(tmp_path, capsys, data,
 SHEAF_DATA = {"cells": [{"id": "a", "dim": 0, "space_dim": 1},
                         {"id": "e", "dim": 1, "space_dim": 1}],
               "relations": [{"from": "a", "to": "e", "matrix": [[1]]}]}
-R1 = {"ambient_dim": 1, "maximal_cells": [
-    {"vertices": [["0"]], "rays": [r]} for r in (["1"], ["-1"])]}
 
 
 @pytest.mark.parametrize("verb, data", [

@@ -6,13 +6,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tropicoh.errors import CodimensionError, DimensionError
 from tropicoh.linalg import (
     Lattice,
     Subspace,
+    _mat_inverse,
     det,
     hermite_normal_form,
     kernel_basis,
@@ -29,7 +30,10 @@ from tropicoh.linalg import (
     sort_with_sign,
     subspace_equal,
     subspace_sum,
+    vadd,
     vec,
+    vscale,
+    vsub,
     wedge_matrix,
     wedge_power,
     wedge_vector,
@@ -465,6 +469,92 @@ def test_subspace_pivots_are_where_coords_read(shape_rows):
                    for j, other in enumerate(space.basis) if j != k)
         assert space.coords(row) == tuple(
             F(1 if j == k else 0) for j in range(space.dim))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_rows(), st.data())
+def test_subspace_reduce_is_the_representative_at_pivots(shape_rows, data):
+    # Membership is decided by the rank of rows + [v], not by coords.
+    ncols, rows = shape_rows
+    space = Subspace(ncols, rows)
+    v = vec(data.draw(st.lists(_entries, min_size=ncols, max_size=ncols)))
+    if rows and data.draw(st.booleans()):
+        v = vec([0] * ncols)
+        for row in rows:
+            v = vadd(v, vscale(data.draw(_entries), vec(row)))
+    red = space.reduce(v)
+    assert all(red[p] == 0 for p in space.pivots)
+    assert Subspace(ncols, rows + [vsub(v, red)]) == space
+    inside = Subspace(ncols, rows + [v]) == space
+    assert (not any(red)) == inside == space.contains(v)
+    with pytest.raises(DimensionError):
+        space.reduce(vec([0] * (ncols + 1)))
+
+
+def _oracle_quotient_primitive(z_sigma, z_tau, witness):
+    """`lattice_quotient_primitive` with the witness side found by solving
+    for the witness in (nu, Z_tau), as before it was read off the Smith
+    matrix V."""
+    m = [z_sigma.coords(row) for row in z_tau.basis]
+    k = z_tau.rank
+    if k == 0:
+        nu = vec(z_sigma.basis[0])
+    else:
+        _, _, v = smith_normal_form([[int(x) for x in c] for c in m])
+        nu = vec([0] * z_sigma.ambient_dim)
+        for c, b in zip(_mat_inverse(v)[k], z_sigma.basis):
+            nu = vadd(nu, vscale(c, vec(b)))
+    sol = solve([nu] + [vec(b) for b in z_tau.basis], vec(witness))
+    if sol is None or sol[0] == 0:
+        raise CodimensionError("cannot orient")
+    if sol[0] < 0:
+        nu = vscale(-1, nu)
+    return z_tau.reduce(nu)
+
+
+@st.composite
+def _lattice_pairs(draw):
+    """Z_sigma of rank k + 1, a rank-k sublattice Z_tau made of integer
+    combinations of its basis, and a witness in span(Z_sigma), sometimes
+    in span(Z_tau)."""
+    n = draw(st.integers(1, 4))
+    ints = st.integers(-3, 3)
+    z_sigma = Lattice(n, [draw(st.lists(ints, min_size=n, max_size=n))
+                          for _ in range(draw(st.integers(1, n)))])
+    assume(z_sigma.rank >= 1)
+    k = z_sigma.rank - 1
+    combos = [draw(st.lists(ints, min_size=k + 1, max_size=k + 1))
+              for _ in range(k)]
+    gens = [[sum(c * b[i] for c, b in zip(combo, z_sigma.basis))
+             for i in range(n)] for combo in combos]
+    z_tau = Lattice(n, gens)
+    assume(z_tau.rank == k)
+    source = z_tau.basis if k and draw(st.booleans()) else z_sigma.basis
+    witness = vec([0] * n)
+    for b in source:
+        witness = vadd(witness, vscale(draw(_entries), vec(b)))
+    return z_sigma, z_tau, witness
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lattice_pairs())
+def test_quotient_primitive_matches_solving_oracle(pair):
+    z_sigma, z_tau, witness = pair
+    try:
+        expected = _oracle_quotient_primitive(z_sigma, z_tau, witness)
+    except CodimensionError:
+        with pytest.raises(CodimensionError):
+            lattice_quotient_primitive(z_sigma, z_tau, witness)
+        return
+    assert lattice_quotient_primitive(z_sigma, z_tau, witness) == expected
+
+
+def test_lattice_coords_checks_the_ambient_length():
+    with pytest.raises(DimensionError):
+        Lattice(2, [[1, 0]]).coords([1, 0, 0])
+    with pytest.raises(DimensionError):
+        lattice_quotient_primitive(Lattice(2, [[1, 0]]), Lattice(2, []),
+                                   [1, 0, 0])
 
 
 # Integer normal forms -------------------------------------------------------

@@ -2,12 +2,13 @@
 
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tropicoh import convex
+from tropicoh import convex, polyhedral
 from tropicoh.errors import ComplexAxiomError
 from tropicoh.matroids import bergman_fan, graphic_matroid, uniform_matroid
 from tropicoh.modifications import (
@@ -23,6 +24,7 @@ from tropicoh.linalg import (
     is_zero_vec,
     kernel_basis,
     mat,
+    primitive,
     rref,
     solve,
     unit_vec,
@@ -728,3 +730,92 @@ def test_signs_match_primitive_normal_oracle(name):
     for t, s in c.covers:
         if c.cells[t].sedentarity == c.cells[s].sedentarity:
             assert c.signs[(t, s)] == _oracle_sign(c, t, s), (t, s)
+
+
+def _oracle_escape_vector(sigma, esc):
+    """Primitive vector of L(sigma) supported on the escaping coordinates,
+    negative there: the outward side of a sedentarity jump before it was
+    read as -e_j."""
+    inter = sigma.tangent.intersection(
+        Subspace(sigma.ambient_dim,
+                 [unit_vec(sigma.ambient_dim, i) for i in esc]))
+    if inter.dim != 1:
+        raise ComplexAxiomError("sedentarity jump is not corank one")
+    w = primitive(inter.basis[0])
+    if any(x > 0 for x in w):
+        w = tuple(-x for x in w)
+    return vec(w)
+
+
+def _oracle_incidence_sign(tau, sigma):
+    """`_incidence_sign` as it was before the two minors: across a jump
+    o_tau is lifted into L(sigma) by solving, then the coordinates of
+    o_sigma in (outward, o_tau) are solved for and their determinant
+    taken."""
+    o_sigma = polyhedral._orientation(sigma)
+    o_tau = polyhedral._orientation(tau)
+    if tau.sedentarity == sigma.sedentarity:
+        outward = vsub(tau.relint_point(), sigma.relint_point())
+        cols = [outward] + [vec(b) for b in o_tau]
+    else:
+        esc = tau.sedentarity - sigma.sedentarity
+        w = _oracle_escape_vector(sigma, esc)
+        pre = []
+        proj_basis = [tuple(F(0) if i in esc else x for i, x in enumerate(bv))
+                      for bv in sigma.tangent.basis]
+        for b in o_tau:
+            sol = solve(proj_basis, vec(b))
+            if sol is None:
+                raise ComplexAxiomError("stratum face not dominated by cell")
+            x = zero_vec(sigma.ambient_dim)
+            for c, bv in zip(sol, sigma.tangent.basis):
+                x = vadd(x, vscale(c, bv))
+            pre.append(x)
+        cols = [w] + pre
+    rows = []
+    for b in o_sigma:
+        sol = solve(cols, vec(b))
+        if sol is None:
+            raise ComplexAxiomError("orientation bases are inconsistent")
+        rows.append(sol)
+    d = det(tuple(rows))
+    if d == 0:
+        raise ComplexAxiomError("degenerate incidence")
+    return 1 if d > 0 else -1
+
+
+def _assert_signs_match_solving_oracle(c):
+    for t, s in c.covers:
+        assert c.signs[(t, s)] == _oracle_incidence_sign(
+            c.cells[t], c.cells[s]), (t, s)
+
+
+@pytest.mark.parametrize("name", sorted(_BUILD_CASES))
+def test_signs_match_solving_oracle(name):
+    _assert_signs_match_solving_oracle(_BUILD_CASES[name]())
+
+
+@st.composite
+def _closed_cones(draw):
+    """A cone in T^3 from one to three rays, with its apex at a lattice
+    point, to be closed in every coordinate."""
+    apex = draw(st.lists(st.integers(-1, 1), min_size=3, max_size=3))
+    rays = draw(st.lists(st.lists(st.integers(-2, 2), min_size=3,
+                                  max_size=3), min_size=1, max_size=3))
+    assume(any(any(r) for r in rays))
+    return Polyhedron(3, [apex], rays)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_closed_cones())
+def test_closed_cone_signs_match_solving_oracle(cone):
+    try:
+        c = build_complex([cone], tropical_coords=[0, 1, 2])
+    except ComplexAxiomError:
+        # The solving signs reject the same input.
+        with mock.patch.object(polyhedral, "_incidence_sign",
+                               _oracle_incidence_sign):
+            with pytest.raises(ComplexAxiomError):
+                build_complex([cone], tropical_coords=[0, 1, 2])
+        assume(False)
+    _assert_signs_match_solving_oracle(c)

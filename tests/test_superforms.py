@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropicoh.errors import DegreeError, UnboundedDomainError
+from tropicoh.errors import DegreeError, DimensionError, UnboundedDomainError
 from tropicoh.linalg import mat_mul, mat, vec
 from tropicoh.polynomial import Poly
 from tropicoh.polyhedral import Polyhedron, build_complex
@@ -336,6 +336,16 @@ def test_cancellation_unbalanced_line():
     beta = form_from_terms(2, 1, 0, [((0,), (), 1)])
     values = balanced_face_cancellation(line, beta, ((-2, -2), (2, 2)))
     assert any(v != 0 for v in values.values())
+
+
+@pytest.mark.parametrize("ambient", [1, 3])
+def test_cancellation_rejects_a_form_of_another_ambient(ambient):
+    # On R^1 the form used to give 0 on the unbalanced line in R^2, and on
+    # R^3 it crashed with an IndexError.
+    line = tropical_line((1, 1, 2))
+    beta = form_from_terms(ambient, 1, 0, [((ambient - 1,), (), 1)])
+    with pytest.raises(DimensionError):
+        balanced_face_cancellation(line, beta, ((-2, -2), (2, 2)))
 
 
 def test_cancellation_axes():
