@@ -3,14 +3,17 @@
 The workhorse is an exact Gaussian reduction: canceling a +-1 entry of a
 differential removes one generator from each of two adjacent degrees and
 performs a Schur-complement update, preserving cohomology.  The usually
-tiny leftover is finished by dense rank computations over Fraction.
+tiny leftover is finished by dense rank computations (`rref`).
+
+Entries are ints where they are integral and Fractions only where a
+denominator remains; mixed arithmetic is exact.  The update multiplies
+by the unit pivot (its own inverse) and never divides, so integral
+input stays in int throughout.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .linalg import mat, rref
+from .linalg import rref
 
 
 class _SparseDiff:
@@ -20,14 +23,13 @@ class _SparseDiff:
         self.rows: dict = {}
         self.cols: dict = {}
         for (i, j), v in entries.items():
-            v = Fraction(v)
             if v == 0:
                 continue
             self.rows.setdefault(i, {})[j] = v
             self.cols.setdefault(j, set()).add(i)
 
     def get(self, i, j):
-        return self.rows.get(i, {}).get(j, Fraction(0))
+        return self.rows.get(i, {}).get(j, 0)
 
     def set(self, i, j, v):
         if v == 0:
@@ -86,7 +88,7 @@ def betti_numbers(dims: list[int], diffs: list[dict]) -> list[int]:
             for j in row0:
                 if j == j0:
                     continue
-                rho = row0[j] / lam
+                rho = row0[j] * lam  # lam = +-1 is its own inverse
                 for i in col0:
                     if i == i0:
                         continue
@@ -115,11 +117,11 @@ def betti_numbers(dims: list[int], diffs: list[dict]) -> list[int]:
         col_pos = {c: k for k, c in enumerate(col_ids)}
         dense = []
         for i in row_ids:
-            row = [Fraction(0)] * len(col_ids)
+            row = [0] * len(col_ids)
             for j, v in d.rows[i].items():
                 row[col_pos[j]] = v
-            dense.append(tuple(row))
-        ranks.append(len(rref(mat(dense))[1]))
+            dense.append(row)
+        ranks.append(len(rref(dense)[1]))
     betti = []
     for q in range(top + 1):
         rank_out = ranks[q] if q < top else 0
@@ -143,7 +145,7 @@ def compose_is_zero(dims: list[int], diffs: list[dict]) -> bool:
             acc: dict = {}
             for m, v in by_source[j]:
                 for i, w in by_mid.get(m, ()):
-                    acc[i] = acc.get(i, Fraction(0)) + w * v
+                    acc[i] = acc.get(i, 0) + w * v
             if any(x != 0 for x in acc.values()):
                 return False
     return True

@@ -20,7 +20,6 @@ from .errors import BalancingRequiredError, PurityError, ValidationError
 from .linalg import (
     Mat,
     Subspace,
-    mat,
     mat_mul,
     mat_transpose,
     subspace_sum,
@@ -40,6 +39,18 @@ class SheafCell:
     id: str
     dim: int
     space_dim: int
+
+
+def _narrow(m) -> tuple:
+    """The matrix m with each integral entry as an int and every other
+    entry as a Fraction, so cochain arithmetic on it stays in int where
+    it can and never meets a float."""
+    out = []
+    for row in m:
+        row = [x if type(x) in (int, Fraction) else Fraction(x) for x in row]
+        out.append(tuple(x.numerator if x.denominator == 1 else x
+                         for x in row))
+    return tuple(out)
 
 
 class CellularSheafDatum:
@@ -71,7 +82,7 @@ class CellularSheafDatum:
             raise ValidationError(f"unknown direction {direction!r}")
         self.cells = tuple(cells)
         self.direction = direction
-        self.cover_maps = dict(cover_maps)
+        self.cover_maps = {pair: _narrow(m) for pair, m in cover_maps.items()}
         self.signs = dict(signs) if signs is not None else None
         self._by_id = {c.id: i for i, c in enumerate(self.cells)}
         if len(self._by_id) != len(self.cells):
@@ -112,7 +123,7 @@ class CellularSheafDatum:
         other = SHEAF if self.direction == COSHEAF else COSHEAF
         flipped = {}
         for (i, j), m in self.cover_maps.items():
-            t = mat_transpose(mat(m))
+            t = mat_transpose(m)
             rows_new = (self.cells[j].space_dim if other == SHEAF
                         else self.cells[i].space_dim)
             if not t and rows_new:
@@ -211,12 +222,19 @@ def _intervals(pairs, ncells):
 
 
 def _composite(datum, i, j, k):
-    """The structure map of i < k through the middle cell j."""
+    """The structure map of i < k through the middle cell j.
+
+    Through a zero middle space both factors are empty, so the zero
+    composite takes its width from the source cell's space.
+    """
     if datum.direction == SHEAF:
-        return mat_mul(mat(datum.cover_maps[(j, k)]),
-                       mat(datum.cover_maps[(i, j)]))
-    return mat_mul(mat(datum.cover_maps[(i, j)]),
-                   mat(datum.cover_maps[(j, k)]))
+        src, first, then = i, (i, j), (j, k)
+    else:
+        src, first, then = k, (j, k), (i, j)
+    outer = datum.cover_maps[then]
+    if not datum.cells[j].space_dim:
+        return tuple((0,) * datum.cells[src].space_dim for _ in outer)
+    return mat_mul(outer, datum.cover_maps[first])
 
 
 def _solve_signs(datum: CellularSheafDatum) -> dict:
@@ -302,7 +320,7 @@ def compact_cohomology(datum: CellularSheafDatum) -> tuple[int, ...]:
             for b, v in enumerate(row):
                 if v:
                     key = (base_r + a, base_c + b)
-                    diffs[q][key] = diffs[q].get(key, Fraction(0)) + sgn * v
+                    diffs[q][key] = diffs[q].get(key, 0) + sgn * v
     if not compose_is_zero(dims, diffs):
         raise ValidationError("compact coboundary does not square to zero")
     return tuple(betti_numbers(dims, diffs))
@@ -340,7 +358,7 @@ def ordinary_cohomology(datum: CellularSheafDatum, cone_shortcut=True
             return tuple(out)
     # Full restriction maps along arbitrary comparable pairs, composed
     # from covering maps top-down (commutation makes the path irrelevant).
-    full: dict = {pair: mat(m) for pair, m in datum.cover_maps.items()}
+    full = dict(datum.cover_maps)
     order = sorted(range(ncells), key=lambda i: -datum.cells[i].dim)
     reach = {i: set(ups[i]) for i in range(ncells)}
     for i in order:
@@ -383,7 +401,7 @@ def ordinary_cohomology(datum: CellularSheafDatum, cone_shortcut=True
                     base_c = offsets[q][sub]
                     for a in range(datum.cells[hi].space_dim):
                         key = (base_r + a, base_c + a)
-                        d[key] = d.get(key, Fraction(0)) + sgn
+                        d[key] = d.get(key, 0) + sgn
                 else:
                     base_c = offsets[q][sub]
                     r = full[(sub[-1], hi)]
@@ -391,7 +409,7 @@ def ordinary_cohomology(datum: CellularSheafDatum, cone_shortcut=True
                         for b, v in enumerate(row):
                             if v:
                                 key = (base_r + a, base_c + b)
-                                d[key] = d.get(key, Fraction(0)) + sgn * v
+                                d[key] = d.get(key, 0) + sgn * v
     if not compose_is_zero(dims, diffs):
         raise ValidationError("order-complex coboundary does not square to zero")
     return tuple(betti_numbers(dims, diffs))

@@ -66,8 +66,9 @@ def mat_transpose(m: Mat) -> Mat:
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
+    """The product a b; int on int input, like `idot`."""
     bt = mat_transpose(b)
-    return tuple(tuple(vdot(row, col) for col in bt) for row in a)
+    return tuple(tuple(idot(row, col) for col in bt) for row in a)
 
 
 def mat_vec(m: Mat, v: Vec) -> Vec:

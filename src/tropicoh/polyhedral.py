@@ -269,17 +269,23 @@ def stratum_piece(p: Polyhedron, extra: frozenset[int]):
     The piece exists iff the recession cone contains a vector with strictly
     negative entries exactly on `extra` and zero on the other mobile
     coordinates; it is then the coordinate projection of the mobile part.
+    Such a vector exists iff the cone C of recession vectors that are
+    <= 0 on `extra` and zero on the other mobile coordinates has, for
+    each i in `extra`, a ray with a nonzero entry i: the lineality of C
+    vanishes on `extra`, and the sum of the rays is the vector.
     """
     if not extra or extra & p.sedentarity:
         raise ValueError("extra coordinates must be new and nonempty")
     mobile = [i for i in range(p.ambient_dim) if i not in p.sedentarity]
-    eqs, ineqs = (list(h) for h in p.recession_hrep)
+    eqs = [a for a, _ in p.hrep[0]]
+    ineqs = [a for a, _ in p.hrep[1]]
     for i in mobile:
         if i in extra:
-            ineqs.append((vscale(-1, unit_vec(p.ambient_dim, i)), Fraction(1)))
+            ineqs.append(vscale(-1, unit_vec(p.ambient_dim, i)))
         else:
-            eqs.append((unit_vec(p.ambient_dim, i), Fraction(0)))
-    if from_hrep(p.ambient_dim, eqs, ineqs, ()) is None:
+            eqs.append(unit_vec(p.ambient_dim, i))
+    _, rays = convex.cone_rays(ineqs, eqs, p.ambient_dim)
+    if not all(any(ray[i] for ray in rays) for i in extra):
         return None
     kill = set(extra)
     proj = lambda w: tuple(Fraction(0) if i in kill else Fraction(x)

@@ -31,7 +31,6 @@ from tropicoh.linalg import (
     p_subsets,
     vec,
 )
-from tropicoh.matroids import bergman_fan, uniform_matroid
 from tropicoh.polyhedral import (
     Polyhedron,
     build_complex,
@@ -80,24 +79,6 @@ def rn_complex(n):
         rays.append(tuple(e))
         rays.append(tuple(-x for x in e))
     return build_complex([(Polyhedron(n, [tuple([0] * n)], rays), 1)])
-
-
-@pytest.fixture(scope="module")
-def sheaf_corpus():
-    """The criterion-10 balanced corpus, then fans times tori and closures,
-    whose covers also jump in sedentarity."""
-    def fan(r, n):
-        return bergman_fan(uniform_matroid(r, n))
-    return [
-        tropical_line(), axes_complex(), r1_complex(), rn_complex(2),
-        fan(2, 3), fan(3, 4), t1_complex(), closure_in(tropical_line(), [1]),
-        subdivided_line(), product(tropical_line(), 1, tropical=False),
-        product(fan(2, 3), 1, tropical=True),
-        product(fan(2, 3), 2, tropical=True),
-        product(fan(3, 4), 1, tropical=True),
-        closure_in(fan(2, 3), [0, 1]), closure_in(fan(2, 4), [0, 1]),
-        closure_in(fan(3, 4), [2]),
-    ]
 
 
 # -- multitangent spaces -------------------------------------------------------
@@ -428,6 +409,24 @@ def test_noncommuting_cosheaf_rejected_and_transposes_stay_valid(
             for datum in (cosheaf, sheaf):
                 datum._validate()
                 datum.transpose()._validate()
+
+
+def test_diamond_through_a_zero_space_commutes():
+    # a < b1, b2 < c with F(b1) = 0: the path through b1 is the 1 x 1 zero
+    # map, which a product of a 1 x 0 and a 0 x 1 matrix must give.
+    cells = [SheafCell("a", 0, 1), SheafCell("b1", 1, 0),
+             SheafCell("b2", 1, 1), SheafCell("c", 2, 1)]
+    maps = {(0, 1): (), (1, 3): ((),), (0, 2): ((1,),), (2, 3): ((0,),)}
+    sheaf = CellularSheafDatum(cells, maps, SHEAF)
+    cosheaf = CellularSheafDatum(cells, sheaf.transpose().cover_maps, COSHEAF)
+    for datum in (sheaf, cosheaf):
+        assert compact_cohomology(datum) == (0, 0, 1)
+        assert ordinary_cohomology(datum) == (1, 0, 0)
+        assert ordinary_cohomology(datum, cone_shortcut=False) == (1, 0, 0)
+    # A nonzero composite through the other middle cell is still caught.
+    maps[(2, 3)] = ((1,),)
+    with pytest.raises(ValidationError, match="non-commuting diamond"):
+        CellularSheafDatum(cells, maps, SHEAF)
 
 
 def test_three_middle_cells_admit_no_signing():

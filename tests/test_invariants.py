@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import tropicoh
-from tropicoh import cohomology, convex, polyhedral
+from tropicoh import chains, cohomology, convex, polyhedral
 from tropicoh.cohomology import (
     build_cosheaf,
     build_sheaf,
@@ -239,3 +239,26 @@ def test_coordinates_read_at_pivots():
              if isinstance(node, ast.Call)
              and isinstance(node.func, (ast.Name, ast.Attribute))}
     assert not calls & {"solve", "intersection"}
+
+
+def test_reduction_never_divides():
+    # The Schur update multiplies by the unit pivot: `x / lam` on ints is
+    # a float, which the exact contract forbids.
+    tree = ast.parse(Path(chains.__file__).read_text())
+    divisions = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, (ast.BinOp, ast.AugAssign))
+                 and isinstance(node.op, ast.Div)]
+    assert not divisions, f"chains.py divides at lines {divisions}"
+
+
+def test_cochain_entries_are_ints_where_integral(engine_differentials):
+    # Cover maps are narrowed when a datum is set up, so every integral
+    # entry of both engines' differentials is an int and only an entry
+    # with a denominator is a Fraction; never a float.
+    kinds = set()
+    for _, diffs in engine_differentials:
+        for d in diffs:
+            for v in d.values():
+                assert type(v) is int or (type(v) is F and v.denominator != 1)
+                kinds.add(type(v))
+    assert int in kinds

@@ -395,6 +395,24 @@ def test_cli_negative_sheaf_dimension_is_a_parse_error(tmp_path, capsys,
     assert "Traceback" not in captured.err
 
 
+def test_cli_diamond_through_a_zero_space(tmp_path, capsys):
+    # The path a -> b1 -> c passes a zero space; it used to be rejected as
+    # a non-commuting diamond (exit 1).
+    data = {"cells": [{"id": "a", "dim": 0, "space_dim": 1},
+                      {"id": "b1", "dim": 1, "space_dim": 0},
+                      {"id": "b2", "dim": 1, "space_dim": 1},
+                      {"id": "c", "dim": 2, "space_dim": 1}],
+            "relations": [{"from": "a", "to": "b1", "matrix": []},
+                          {"from": "b1", "to": "c", "matrix": [[]]},
+                          {"from": "a", "to": "b2", "matrix": [[1]]},
+                          {"from": "b2", "to": "c", "matrix": [[0]]}]}
+    path = tmp_path / "sheaf.json"
+    path.write_text(json.dumps(data))
+    code, out = run_cli(["cellsheaf-betti", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out) == {"compact": [0, 0, 1], "ordinary": [1, 0, 0]}
+
+
 def test_cli_determinism(tmp_path, capsys):
     path = tmp_path / "line.json"
     tio.save_complex(tropical_line(), path)

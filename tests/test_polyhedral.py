@@ -819,3 +819,52 @@ def test_closed_cone_signs_match_solving_oracle(cone):
                 build_complex([cone], tropical_coords=[0, 1, 2])
         assume(False)
     _assert_signs_match_solving_oracle(c)
+
+
+def _old_stratum_piece(p, extra):
+    """`stratum_piece` as it was before the feasibility test on the
+    homogeneous cone: a vector of the recession cone that is <= -1 on
+    `extra` and zero on the other mobile coordinates, found by a
+    homogenized vertex enumeration through `from_hrep`."""
+    mobile = [i for i in range(p.ambient_dim) if i not in p.sedentarity]
+    eqs, ineqs = (list(h) for h in p.recession_hrep)
+    for i in mobile:
+        if i in extra:
+            ineqs.append((vscale(-1, unit_vec(p.ambient_dim, i)), F(1)))
+        else:
+            eqs.append((unit_vec(p.ambient_dim, i), F(0)))
+    if from_hrep(p.ambient_dim, eqs, ineqs, ()) is None:
+        return None
+    proj = lambda w: tuple(F(0) if i in extra else F(x)
+                           for i, x in enumerate(w))
+    rays = [r for r in map(proj, p.rays) if not is_zero_vec(r)]
+    return Polyhedron(p.ambient_dim, [proj(v) for v in p.vertices], rays,
+                      p.sedentarity | extra)
+
+
+def _assert_pieces_match_old(cells):
+    for p in cells:
+        mobile = sorted(set(range(p.ambient_dim)) - p.sedentarity)
+        for k in range(1, len(mobile) + 1):
+            for extra in map(frozenset, itertools.combinations(mobile, k)):
+                new, old = stratum_piece(p, extra), _old_stratum_piece(p, extra)
+                assert (new is None) == (old is None), (p, extra)
+                if new is not None:
+                    assert new.key == old.key, (p, extra)
+
+
+@pytest.mark.parametrize("name", sorted(_BUILD_CASES))
+def test_stratum_pieces_match_homogenized_oracle(name):
+    _assert_pieces_match_old(_BUILD_CASES[name]().cells)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_closed_cones())
+def test_closed_cone_stratum_pieces_match_homogenized_oracle(cone):
+    # The cells of the closure in T^3 when it builds (sedentary cells
+    # included), otherwise the faces of the cone.
+    try:
+        cells = build_complex([cone], tropical_coords=[0, 1, 2]).cells
+    except ComplexAxiomError:
+        cells = faces(cone)
+    _assert_pieces_match_old(cells)
