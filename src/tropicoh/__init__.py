@@ -24,9 +24,7 @@ from .linalg import (
     Lattice,
     Subspace,
     lattice_quotient_primitive,
-    rank_kernel_image,
     smith_normal_form,
-    subspace_equal,
     subspace_sum,
     wedge_power,
 )
@@ -60,7 +58,6 @@ from .polyhedral import (
     product,
     restrict_to_stratum,
     star,
-    vrep_to_hrep,
 )
 from .superforms import (
     PolySuperform,

@@ -31,11 +31,6 @@ from .linalg import (
 )
 
 
-def _kernel(rows, ambient_dim: int):
-    """Kernel basis that tolerates an empty row list."""
-    return kernel_basis(rows if rows else [zero_vec(ambient_dim)])
-
-
 def _combine(c, v, d, w):
     """The primitive integer vector c*v + d*w."""
     return primitive([c * x + d * y for x, y in zip(v, w)])
@@ -50,7 +45,7 @@ def cone_facets(generators, ambient_dim: int):
     They are the extreme rays of the dual cone inside the span.
     """
     gens = [primitive(g) for g in generators]
-    equations = [primitive(r) for r in _kernel(gens, ambient_dim)]
+    equations = [primitive(r) for r in kernel_basis(gens, ambient_dim)]
     return equations, cone_rays(gens, equations, ambient_dim)[1]
 
 
@@ -70,12 +65,14 @@ def cone_rays(ineq_normals, eq_normals, ambient_dim: int):
     # subspace, spanned by the free directions, and each inequality cuts
     # it in turn.  A ray carries its zero set over the inequalities cut so
     # far, as a bit mask.
-    free = [primitive(r) for r in _kernel(eqs, ambient_dim)]
+    free = [primitive(r) for r in kernel_basis(eqs, ambient_dim)]
     if not free:
         return [], []
-    lineality = [primitive(r) for r in _kernel(ineqs + eqs, ambient_dim)]
+    lineality = [primitive(r)
+                 for r in kernel_basis(ineqs + eqs, ambient_dim)]
     if lineality:
-        free = [primitive(r) for r in _kernel(eqs + lineality, ambient_dim)]
+        free = [primitive(r)
+                for r in kernel_basis(eqs + lineality, ambient_dim)]
     rays = []
     for i, a in enumerate(ineqs):
         bit = 1 << i

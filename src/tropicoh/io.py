@@ -14,7 +14,7 @@ from fractions import Fraction
 from .cohomology import SHEAF, COSHEAF, CellularSheafDatum, SheafCell
 from .errors import ParseError
 from .matroids import Matroid, matroid_from
-from .modifications import PLFunction
+from .modifications import MAX, MIN, PLFunction
 from .polyhedral import NEG_INF, Polyhedron, PolyhedralComplex, build_complex
 from .polynomial import Poly
 from .superforms import PolySuperform
@@ -214,15 +214,19 @@ def load_cellsheaf(path) -> CellularSheafDatum:
 
 
 def plfunction_from_dict(data, reference=None) -> PLFunction:
+    if not isinstance(data, dict):
+        raise ParseError(f"a function is a JSON object, not {data!r}")
     if "terms" in data:
         try:
             terms = [(parse_rational(t["coeff"]),
                       tuple(parse_int(e) for e in
                             parse_list(t["exponents"], "exponents")))
                      for t in parse_list(data["terms"], "terms")]
-            mode = data.get("mode", "max")
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad tropical polynomial: {exc}") from exc
+        mode = data.get("mode", MAX)
+        if mode not in (MAX, MIN):
+            raise ParseError(f"mode must be max or min, not {mode!r}")
         if reference is not None and any(
                 len(e) != reference.ambient_dim for _, e in terms):
             raise ParseError(f"exponents must have length "

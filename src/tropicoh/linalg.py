@@ -71,10 +71,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return tuple(tuple(idot(row, col) for col in bt) for row in a)
 
 
-def mat_vec(m: Mat, v: Vec) -> Vec:
-    return tuple(vdot(row, v) for row in m)
-
-
 def mat_shape(m: Mat) -> tuple[int, int]:
     return (len(m), len(m[0]) if m else 0)
 
@@ -194,21 +190,28 @@ def solve(a_cols: list[Vec], target: Vec):
     return tuple(x)
 
 
-def kernel_basis(m: Mat) -> list[Vec]:
-    """Canonical basis of {x : m @ x = 0}, in reduced echelon form."""
-    nrows, ncols = mat_shape(m)
-    red, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+def kernel_basis(m, ncols: int) -> list[Vec]:
+    """Canonical basis of {x : m @ x = 0} in Q^ncols, in reduced echelon form.
+
+    One elimination of m with its columns reversed: its pivots are the
+    last independent columns of m, so the free columns left over are the
+    leading columns of the kernel's echelon basis.  The vector with 1 at
+    free column f, minus the pivot rows' entries at f on the pivots, is
+    zero left of f and at every other free column, so these vectors are
+    already the reduced form.
+    """
+    red, pivots = rref([r[::-1] for r in m])
+    last = ncols - 1
+    pivot_cols = [last - pc for pc in pivots]
+    free = sorted(set(range(ncols)).difference(pivot_cols))
     basis = []
     for fc in free:
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for row, pc in zip(red, pivots):
-            v[pc] = -row[fc]
+        for row, pc in zip(red, pivot_cols):
+            v[pc] = -row[last - fc]
         basis.append(tuple(v))
-    basis_rows, _ = rref(basis)
-    return basis_rows
+    return basis
 
 
 class Subspace:
@@ -277,15 +280,10 @@ class Subspace:
             rows.extend(o.basis)
         return Subspace(self.ambient_dim, rows)
 
-    def intersection(self, other: "Subspace") -> "Subspace":
-        # x in both spans: the complement of the sum of the complements.
-        return self.perp().sum(other.perp()).perp()
-
     def perp(self) -> "Subspace":
         """Orthogonal complement under the standard dot product."""
-        # A matrix with no rows has no columns for kernel_basis to free.
-        rows = self.basis or [zero_vec(self.ambient_dim)]
-        return Subspace(self.ambient_dim, kernel_basis(rows))
+        return Subspace(self.ambient_dim,
+                        kernel_basis(self.basis, self.ambient_dim))
 
     def __eq__(self, other):
         return (isinstance(other, Subspace)
@@ -304,20 +302,6 @@ def subspace_sum(spaces) -> Subspace:
     if not spaces:
         raise DimensionError("subspace_sum of an empty list")
     return spaces[0].sum(*spaces[1:])
-
-
-def subspace_equal(a: Subspace, b: Subspace) -> bool:
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionError("subspace_equal: ambient mismatch")
-    return a == b
-
-
-def rank_kernel_image(m: Mat) -> tuple[int, Subspace, Subspace]:
-    """Rank, kernel and column span of a rational matrix."""
-    nrows, ncols = mat_shape(m)
-    kernel = Subspace(ncols, kernel_basis(m))
-    image = Subspace(nrows, mat_transpose(m))
-    return ncols - kernel.dim, kernel, image
 
 
 # ---------------------------------------------------------------------------
@@ -343,50 +327,37 @@ def hermite_normal_form(rows) -> list[tuple[int, ...]]:
     Pivots are positive, strictly to the right as you go down, and entries
     above each pivot are reduced into [0, pivot).  Zero rows are dropped,
     so the result is a canonical basis of the row lattice.
+
+    One sweep over the columns: Euclid by 2x2 unimodular row updates
+    gathers the gcd of a column's unused rows into one pivot row, and the
+    rows above it are then reduced by floor division.
     """
     work = _int_rows(rows)
-    if not work:
-        return []
-    ncols = len(work[0])
-    basis: list[list[int]] = []
-    for v in work:
-        v = v[:]
-        for row in basis:
-            j = next(i for i, x in enumerate(row) if x != 0)
-            if v[j] == 0:
-                continue
-            a, b = row[j], v[j]
-            if b % a == 0:
-                q = b // a
-                for k in range(ncols):
-                    v[k] -= q * row[k]
-            else:
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        if rank == len(work):
+            break
+        for i in range(rank + 1, len(work)):
+            a, b = work[rank][col], work[i][col]
+            if b:
                 g, x, y = _xgcd(a, b)
-                # replace (row, v) by (x*row + y*v, (-b/g)*row + (a/g)*v)
-                new_row = [x * p + y * q_ for p, q_ in zip(row, v)]
-                new_v = [(-b // g) * p + (a // g) * q_ for p, q_ in zip(row, v)]
-                row[:] = new_row
-                v = new_v
-        if any(x != 0 for x in v):
-            basis.append(v)
-    # Sort rows by pivot column, make pivots positive, reduce above pivots.
-    basis.sort(key=lambda r: next(i for i, x in enumerate(r) if x != 0))
-    # Rows inserted out of order can break echelon shape; re-run once if so.
-    pivs = [next(i for i, x in enumerate(r) if x != 0) for r in basis]
-    if len(set(pivs)) != len(pivs):
-        return hermite_normal_form(basis)
-    for r in basis:
-        j = next(i for i, x in enumerate(r) if x != 0)
-        if r[j] < 0:
-            r[:] = [-x for x in r]
-    for i in range(len(basis)):
-        j = next(k for k, x in enumerate(basis[i]) if x != 0)
-        p = basis[i][j]
-        for up in range(i):
-            q = basis[up][j] // p
-            if q != 0:
-                basis[up] = [a - q * b for a, b in zip(basis[up], basis[i])]
-    return [tuple(r) for r in basis]
+                top, row = work[rank], work[i]
+                work[rank] = [x * p + y * q for p, q in zip(top, row)]
+                work[i] = [(-b // g) * p + (a // g) * q
+                           for p, q in zip(top, row)]
+        top = work[rank]
+        pivot = top[col]
+        if pivot == 0:
+            continue
+        if pivot < 0:
+            top = work[rank] = [-x for x in top]
+            pivot = -pivot
+        for up in range(rank):
+            q = work[up][col] // pivot
+            if q:
+                work[up] = [x - q * y for x, y in zip(work[up], top)]
+        rank += 1
+    return [tuple(r) for r in work[:rank]]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -531,14 +502,13 @@ class Lattice:
     def from_subspace(cls, s: Subspace) -> "Lattice":
         """The saturated lattice span(s) ∩ Z^n.
 
-        Clears denominators, then reads the saturation off the Smith normal
-        form: with U A V = D, the first rank(A) rows of V^{-1} are a basis.
+        Scales each basis row to a primitive integer row, then reads the
+        saturation off the Smith normal form: with U A V = D, the first
+        rank(A) rows of V^{-1} are a basis.
         """
         if s.dim == 0:
             return cls(s.ambient_dim, ())
-        den = math.lcm(*(f.denominator for row in s.basis for f in row))
-        a = [[int(f * den) for f in row] for row in s.basis]
-        u, d, v = smith_normal_form(a)
+        u, d, v = smith_normal_form([primitive(row) for row in s.basis])
         rank = sum(1 for i in range(min(mat_shape(d))) if d[i][i] != 0)
         v_inv = _mat_inverse(v)
         return cls(s.ambient_dim, [v_inv[i] for i in range(rank)])
@@ -686,22 +656,3 @@ def wedge_power(s: Subspace, p: int) -> Subspace:
         return Subspace(ambient, ())
     gens = [wedge_vector(c) for c in itertools.combinations(s.basis, p)]
     return Subspace(ambient, gens)
-
-
-def wedge_matrix(linear_map_rows: Mat, m_source: int, p: int) -> Mat:
-    """Matrix of ⋀^p(f) in lexicographic wedge bases.
-
-    `linear_map_rows` is the matrix of f: Q^{m_source} -> Q^{m_target} acting
-    on column vectors (rows indexed by target coordinates).
-    """
-    m_target = len(linear_map_rows)
-    rows_idx = p_subsets(m_target, p)
-    cols_idx = p_subsets(m_source, p)
-    out = []
-    for kr in rows_idx:
-        row = []
-        for kc in cols_idx:
-            minor = tuple(tuple(linear_map_rows[i][j] for j in kc) for i in kr)
-            row.append(det(minor))
-        out.append(tuple(row))
-    return tuple(out)

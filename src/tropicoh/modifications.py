@@ -173,13 +173,16 @@ def _lift(piece: Polyhedron, lin, const):
     return Polyhedron(r + 1, verts, rays, piece.sedentarity)
 
 
+def _graph_of(pieces) -> PolyhedralComplex:
+    """The complex of the affine pieces lifted onto their graphs."""
+    return build_complex([(_lift(piece, lin, const), weight)
+                          for piece, weight, lin, const in pieces])
+
+
 def graph_complex(w: PolyhedralComplex, p: PLFunction) -> PolyhedralComplex:
     """The graph of p over w, with inherited weights, in one extra
     coordinate; in general unbalanced along the break locus."""
-    pieces = p.affine_pieces(w)
-    lifted = [(_lift(piece, lin, const), weight)
-              for piece, weight, lin, const in pieces]
-    return build_complex(lifted)
+    return _graph_of(p.affine_pieces(w))
 
 
 def complete_modification(w: PolyhedralComplex, p: PLFunction
@@ -196,7 +199,7 @@ def complete_modification(w: PolyhedralComplex, p: PLFunction
     pieces = p.affine_pieces(w)
     refined_w = build_complex([(piece, weight)
                                for piece, weight, _, _ in pieces])
-    graph = graph_complex(w, p)
+    graph = _graph_of(pieces)
     r1 = graph.ambient_dim
     e_last = unit_vec(r1, r1 - 1)
     hung = []

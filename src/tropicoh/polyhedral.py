@@ -166,11 +166,6 @@ class Polyhedron:
             p = vadd(p, vec(r))
         return p
 
-    def contains_point(self, x) -> bool:
-        x = vec(x)
-        eqs, ineqs = self.hrep
-        return convex.satisfies(x, eqs, ineqs)
-
     def contains_polyhedron(self, other: "Polyhedron") -> bool:
         """Mobile-part containment; both must have the same sedentarity."""
         if other.sedentarity != self.sedentarity:
@@ -220,11 +215,6 @@ def _tangent_of(signature) -> Subspace:
 def _lattice_of(tangent: Subspace) -> Lattice:
     # Subspaces hash and compare by (ambient_dim, basis).
     return Lattice.from_subspace(tangent)
-
-
-def vrep_to_hrep(p: Polyhedron):
-    """Irredundant affine inequalities of the mobile part of p."""
-    return list(p.hrep[1])
 
 
 def from_hrep(ambient_dim: int, equations, inequalities, sedentarity):

@@ -27,8 +27,8 @@ from tropicoh.linalg import (
     Subspace,
     mat,
     mat_transpose,
-    mat_vec,
     p_subsets,
+    vdot,
     vec,
 )
 from tropicoh.polyhedral import (
@@ -290,7 +290,8 @@ def test_degree_vanishes_on_coboundaries():
         for s in line.covers_of(v):
             m = inclusion_map(line, v, s, 1)
             r = mat_transpose(mat(m))
-            cochain[s] = tuple(x * line.signs[(v, s)] for x in mat_vec(r, vec(b)))
+            cochain[s] = tuple(vdot(row, vec(b)) * line.signs[(v, s)]
+                               for row in r)
         assert degree(line, cochain) == 0
 
 

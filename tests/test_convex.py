@@ -38,13 +38,9 @@ F = Fraction
 # section.
 
 
-def _old_kernel(rows, ambient_dim):
-    return kernel_basis(rows if rows else [zero_vec(ambient_dim)])
-
-
 def _old_cone_facets(generators, ambient_dim):
     gens = [vec(g) for g in generators if not is_zero_vec(vec(g))]
-    equations = [primitive(r) for r in _old_kernel(gens, ambient_dim)]
+    equations = [primitive(r) for r in kernel_basis(gens, ambient_dim)]
     if not gens:
         return equations, []
     span = Subspace(ambient_dim, gens)
@@ -55,7 +51,7 @@ def _old_cone_facets(generators, ambient_dim):
         sub = [gens[i] for i in subset]
         if Subspace(ambient_dim, sub).dim != d - 1:
             continue
-        cand = _old_kernel(sub + list(span.perp().basis), ambient_dim)
+        cand = kernel_basis(sub + list(span.perp().basis), ambient_dim)
         if len(cand) != 1:
             continue
         n = primitive(cand[0])
@@ -71,18 +67,19 @@ def _old_cone_facets(generators, ambient_dim):
 def _old_cone_rays(ineq_normals, eq_normals, ambient_dim):
     eqs = [vec(e) for e in eq_normals]
     ineqs = [vec(a) for a in ineq_normals]
-    v0 = Subspace(ambient_dim, _old_kernel(eqs, ambient_dim))
+    v0 = Subspace(ambient_dim, kernel_basis(eqs, ambient_dim))
     if v0.dim == 0:
         return [], []
     if not ineqs:
         return [primitive(r) for r in v0.basis], []
     lineality = [primitive(r) for r in
-                 _old_kernel(list(ineqs) + list(v0.perp().basis), ambient_dim)]
+                 kernel_basis(list(ineqs) + list(v0.perp().basis),
+                              ambient_dim)]
     if lineality:
         lin_space = Subspace(ambient_dim, lineality)
         comp = Subspace(ambient_dim,
-                        _old_kernel(list(lin_space.basis), ambient_dim))
-        comp = comp.intersection(v0)
+                        kernel_basis(list(lin_space.basis), ambient_dim))
+        comp = comp.perp().sum(v0.perp()).perp()
     else:
         comp = v0
     basis = list(comp.basis)
@@ -92,7 +89,7 @@ def _old_cone_rays(ineq_normals, eq_normals, ambient_dim):
     restricted = [primitive([vdot(a, b) for b in basis]) for a in ineqs]
     rays = set()
     for subset in itertools.combinations(range(len(restricted)), dimc - 1):
-        cand = _old_kernel([restricted[i] for i in subset], dimc)
+        cand = kernel_basis([restricted[i] for i in subset], dimc)
         if len(cand) != 1:
             continue
         v = primitive(cand[0])

@@ -16,7 +16,7 @@ from tropicoh.cohomology import (
     multitangent_space,
     ordinary_cohomology,
 )
-from tropicoh.linalg import mat, mat_transpose, mat_vec, vdot, vec, wedge_vector
+from tropicoh.linalg import mat, mat_transpose, vdot, vec, wedge_vector
 from tropicoh.matroids import bergman_fan, uniform_matroid
 from tropicoh.polyhedral import (
     Polyhedron,
@@ -86,7 +86,8 @@ def test_degree_detector_on_unbalanced_mutant():
         for s in line.covers_of(v):
             m = inclusion_map(line, v, s, 1)
             r = mat_transpose(mat(m))
-            coeffs = tuple(x * line.signs[(v, s)] for x in mat_vec(r, vec(b)))
+            coeffs = tuple(vdot(row, vec(b)) * line.signs[(v, s)]
+                           for row in r)
             omega = wedge_vector(line.orientations[s])
             f1 = multitangent_space(line, s, 1)
             coords = vec(f1.coords(omega))

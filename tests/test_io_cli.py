@@ -272,12 +272,19 @@ _BAD_STOKES_INPUTS = [
     (UNBALANCED_LINE, _constant_form(1, 1)),
     (UNBALANCED_LINE, _constant_form(3, 3)),
 ]
-# Functions for `modify` and `closed-modify` on R as two rays (R1), whose
-# vectors have the wrong length; each used to crash in `vdot`.
+# A function file holding JSON null: None already means "no file" above.
+JSON_NULL = object()
+# Functions for `modify` and `closed-modify` on R as two rays (R1): three
+# whose vectors have the wrong length (each used to crash in `vdot`), two
+# that are not JSON objects (each used to crash on `"terms" in data`) and
+# one with an unknown mode (it used to exit 1).
 _BAD_FUNCTIONS = [
     {"terms": [{"coeff": "0", "exponents": [0, 0]}]},
     {"terms": [{"coeff": "0", "exponents": []}]},
     {"per_facet": [{"cell_id": 0, "linear": [1, 0], "constant": 0}]},
+    5,
+    JSON_NULL,
+    {"terms": [{"coeff": "0", "exponents": [1]}], "mode": "avg"},
 ]
 _BAD_GRAPH_ARGS = [
     ["bergman", "--graph", "a,b"],
@@ -324,8 +331,11 @@ _BAD_PROJECT_COORDINATES = ["0", "3"]
          "matroid-basis-strings", "cell-vertex-and-ray-strings",
          "project-coordinate-zero", "project-coordinate-too-large",
          "modify-exponents-too-long", "modify-exponents-empty",
-         "modify-linear-too-long", "closed-modify-exponents-too-long",
-         "closed-modify-exponents-empty", "closed-modify-linear-too-long"])
+         "modify-linear-too-long", "modify-scalar-file", "modify-null-file",
+         "modify-unknown-mode", "closed-modify-exponents-too-long",
+         "closed-modify-exponents-empty", "closed-modify-linear-too-long",
+         "closed-modify-scalar-file", "closed-modify-null-file",
+         "closed-modify-unknown-mode"])
 def test_cli_malformed_input_is_a_parse_error(tmp_path, capsys, data,
                                                form_data, argv):
     # `data` is written to a file: a complex for `stokes` when argv is
@@ -335,7 +345,8 @@ def test_cli_malformed_input_is_a_parse_error(tmp_path, capsys, data,
         path = tmp_path / "input.json"
         path.write_text(json.dumps(data))
         form = tmp_path / "form.json"
-        form.write_text(json.dumps(form_data))
+        form.write_text("null" if form_data is JSON_NULL
+                        else json.dumps(form_data))
         if argv is None:
             argv = ["stokes", str(path)]
             if form_data is not None:

@@ -4,16 +4,19 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from tropicoh import linalg
 from tropicoh.errors import CodimensionError, DimensionError
 from tropicoh.linalg import (
     Lattice,
     Subspace,
     _mat_inverse,
+    _xgcd,
     det,
     hermite_normal_form,
     kernel_basis,
@@ -21,20 +24,18 @@ from tropicoh.linalg import (
     mat,
     mat_mul,
     mat_shape,
+    mat_transpose,
     p_subsets,
     primitive,
-    rank_kernel_image,
     rref,
     smith_normal_form,
     solve,
     sort_with_sign,
-    subspace_equal,
     subspace_sum,
     vadd,
     vec,
     vscale,
     vsub,
-    wedge_matrix,
     wedge_power,
     wedge_vector,
 )
@@ -43,28 +44,33 @@ F = Fraction
 
 
 def test_rank_kernel_image_identity():
-    rank, ker, img = rank_kernel_image(mat([[1, 0], [0, 1]]))
-    assert rank == 2
-    assert ker.dim == 0
-    assert img == Subspace(2, [[1, 0], [0, 1]])
+    m = mat([[1, 0], [0, 1]])
+    assert len(rref(m)[1]) == 2
+    assert kernel_basis(m, 2) == []
+    assert Subspace(2, mat_transpose(m)) == Subspace(2, [[1, 0], [0, 1]])
 
 
 def test_rank_kernel_image_proportional_rows():
-    rank, ker, img = rank_kernel_image(mat([[1, 2], [2, 4]]))
-    assert rank == 1
+    m = mat([[1, 2], [2, 4]])
+    assert len(rref(m)[1]) == 1
     # kernel spanned by (2, -1); canonical echelon form is (1, -1/2)
-    assert ker == Subspace(2, [[2, -1]])
-    assert img == Subspace(2, [[1, 2]])
+    assert kernel_basis(m, 2) == [(F(1), F(-1, 2))]
+    assert Subspace(2, kernel_basis(m, 2)) == Subspace(2, [[2, -1]])
+    assert Subspace(2, mat_transpose(m)) == Subspace(2, [[1, 2]])
+
+
+def test_kernel_basis_hand_oracles():
+    # No rows: the kernel is the whole space, in the unit basis.
+    assert kernel_basis((), 2) == [(F(1), F(0)), (F(0), F(1))]
+    assert kernel_basis((), 0) == []
 
 
 def test_rank_tropical_line_coboundary():
     # The p=0 compact coboundary of the tropical line is 1x3 with +-1
     # entries; hand row reduction gives rank 1.
     m = mat([[1, -1, 1]])
-    rank, ker, img = rank_kernel_image(m)
-    assert rank == 1
-    assert ker.dim == 2
-    assert rank + ker.dim == mat_shape(m)[1]
+    assert len(rref(m)[1]) == 1
+    assert kernel_basis(m, 3) == [(F(1), F(0), F(-1)), (F(0), F(1), F(1))]
 
 
 def test_rref_one_liner_oracle():
@@ -84,7 +90,7 @@ def test_kernel_is_kernel():
     rng = random.Random(5)
     for _ in range(25):
         rows = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(3)]
-        for k in kernel_basis(mat(rows)):
+        for k in kernel_basis(mat(rows), 4):
             for row in rows:
                 assert sum(a * b for a, b in zip(row, k)) == 0
 
@@ -131,7 +137,7 @@ def test_snf_random_properties(seed):
             if i != j:
                 assert d[i][j] == 0
     # Rank from row reduction equals the count of nonzero Smith entries.
-    assert rank_kernel_image(mat(m))[0] == sum(1 for x in diag if x != 0)
+    assert len(rref(m)[1]) == sum(1 for x in diag if x != 0)
 
 
 # Hermite normal form and lattices -----------------------------------------
@@ -258,15 +264,6 @@ def test_wedge_vector_empty():
     assert wedge_vector([]) == (F(1),)
 
 
-def test_wedge_matrix_functorial():
-    rng = random.Random(3)
-    a = mat([[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)])
-    b = mat([[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)])
-    for p in range(3):
-        assert wedge_matrix(mat_mul(a, b), 3, p) == \
-            mat_mul(wedge_matrix(a, 3, p), wedge_matrix(b, 3, p))
-
-
 # Subspace arithmetic --------------------------------------------------------
 
 
@@ -291,22 +288,26 @@ def test_subspace_sum_properties():
     assert a.sum(a) == a
 
 
+def _intersection(a, b):
+    # x in both spans: the complement of the sum of the complements.
+    return a.perp().sum(b.perp()).perp()
+
+
 def test_perp_of_zero_subspace_is_everything():
-    # kernel_basis of a matrix with no rows has no columns to free, so the
-    # empty basis is padded with a zero row.
+    # kernel_basis is told the column count, so a matrix with no rows has
+    # the whole space as its kernel.
     zero = Subspace(2, [])
     assert zero.perp() == Subspace(2, [[1, 0], [0, 1]])
-    assert zero.intersection(Subspace(2, [[1, 0]])) == zero
-    assert Subspace(2, [[1, 0]]).intersection(zero) == zero
+    assert _intersection(zero, Subspace(2, [[1, 0]])) == zero
+    assert _intersection(Subspace(2, [[1, 0]]), zero) == zero
     assert Subspace(2, [[1, 0], [0, 1]]).perp() == zero
     assert Subspace(0, []).perp() == Subspace(0, [])
     with pytest.raises(DimensionError):
-        zero.intersection(Subspace(3, []))
+        _intersection(zero, Subspace(3, []))
 
 
 def test_subspace_ambient_mismatch():
-    with pytest.raises(DimensionError):
-        subspace_equal(Subspace(2, []), Subspace(3, []))
+    assert Subspace(2, []) != Subspace(3, [])
     with pytest.raises(DimensionError):
         Subspace(2, []).sum(Subspace(3, []))
 
@@ -332,7 +333,9 @@ def test_primitive():
 #
 # The oracles are the Fraction Gauss-Jordan and Gaussian elimination that
 # the integer kernel replaced; reduced echelon form is unique, so both must
-# give the same rows, pivots and determinants.
+# give the same rows, pivots and determinants.  `_oracle_kernel` is also the
+# two-elimination kernel (the kernel vectors of the rref, then their rref)
+# that the one elimination of the column-reversed matrix replaced.
 
 
 def _oracle_rref(rows):
@@ -401,12 +404,12 @@ _entries = st.one_of(
 
 
 @st.composite
-def _rational_rows(draw, square=False):
+def _rational_rows(draw, square=False, entries=_entries):
     """Rows of one length: single columns, zero rows and repeated rows
     included; without `square`, also the empty matrix."""
     ncols = draw(st.integers(1, 5))
     nrows = ncols if square else draw(st.integers(0, 5))
-    rows = [draw(st.lists(_entries, min_size=ncols, max_size=ncols))
+    rows = [draw(st.lists(entries, min_size=ncols, max_size=ncols))
             for _ in range(nrows)]
     if rows and draw(st.booleans()):
         rows[draw(st.integers(0, nrows - 1))] = [0] * ncols
@@ -431,13 +434,32 @@ def test_rref_matches_rational_elimination(shape_rows):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_rational_rows())
+@given(st.one_of(_rational_rows(),
+                 _rational_rows(entries=st.integers(-9, 9))))
+@example((3, []))                                      # no rows
+@example((3, [[0, 0, 0], [0, 0, 0]]))                  # rank 0
+@example((3, [[1, 2, 3], [1, 2, 3]]))                  # duplicate rows
+@example((3, [[0, 0, 1], [0, 1, 0], [1, 0, 0]]))       # full rank
+@example((4, [[F(1, 2), -3, 0, 5], [0, 0, F(-2, 3), 1]]))
 def test_kernel_basis_matches_rational_elimination(shape_rows):
     ncols, rows = shape_rows
-    m = mat(rows) if rows else ()
-    basis = kernel_basis(m)
-    assert basis == _oracle_kernel(rows, ncols if rows else 0)
+    basis = kernel_basis(mat(rows), ncols)
+    assert basis == _oracle_kernel(rows, ncols)
     assert _all_fractions(basis)
+
+
+def test_kernel_basis_is_one_elimination():
+    # The kernel is read off one rref of the column-reversed matrix.
+    calls = []
+
+    def counting_rref(rows):
+        calls.append(rows)
+        return rref(rows)
+
+    with mock.patch.object(linalg, "rref", counting_rref):
+        assert kernel_basis(mat([[1, 2, 3], [2, 4, 7]]), 3) == \
+            [(F(1), F(-1, 2), F(0))]
+    assert calls == [[(F(3), F(2), F(1)), (F(7), F(4), F(2))]]
 
 
 @settings(max_examples=300, deadline=None)
@@ -618,3 +640,66 @@ def test_lattice_saturation_idempotent(shape_rows):
     once = Lattice.from_subspace(Subspace(ncols, rows))
     assert once.span() == Subspace(ncols, rows)
     assert Lattice.from_subspace(once.span()) == once
+
+
+# The Hermite form as one column sweep, against a frozen copy of the row
+# insertion it replaced (insert each row, sort by pivot, re-run when two
+# pivots collided).
+
+
+def _insertion_hnf(rows):
+    work = [[int(x) for x in r] for r in rows]
+    if not work:
+        return []
+    ncols = len(work[0])
+    basis = []
+    for v in work:
+        v = v[:]
+        for row in basis:
+            j = next(i for i, x in enumerate(row) if x != 0)
+            if v[j] == 0:
+                continue
+            a, b = row[j], v[j]
+            if b % a == 0:
+                q = b // a
+                for k in range(ncols):
+                    v[k] -= q * row[k]
+            else:
+                g, x, y = _xgcd(a, b)
+                new_row = [x * p + y * q for p, q in zip(row, v)]
+                v = [(-b // g) * p + (a // g) * q for p, q in zip(row, v)]
+                row[:] = new_row
+        if any(x != 0 for x in v):
+            basis.append(v)
+    basis.sort(key=lambda r: next(i for i, x in enumerate(r) if x != 0))
+    pivs = [next(i for i, x in enumerate(r) if x != 0) for r in basis]
+    if len(set(pivs)) != len(pivs):
+        return _insertion_hnf(basis)
+    for r in basis:
+        j = next(i for i, x in enumerate(r) if x != 0)
+        if r[j] < 0:
+            r[:] = [-x for x in r]
+    for i in range(len(basis)):
+        j = next(k for k, x in enumerate(basis[i]) if x != 0)
+        p = basis[i][j]
+        for up in range(i):
+            q = basis[up][j] // p
+            if q != 0:
+                basis[up] = [a - q * b for a, b in zip(basis[up], basis[i])]
+    return [tuple(r) for r in basis]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_rational_rows(entries=st.integers(-12, 12)))
+@example((2, []))
+@example((2, [[0, 0], [0, 0]]))
+@example((2, [[-2, 1]]))                  # the pivot is made positive
+@example((2, [[1, -1], [0, 2]]))          # -1 reduces by floor to 1
+@example((3, [[4, 6, -5], [4, 6, -5], [6, 9, 7]]))
+@example((3, [[0, 2, 0], [1, 0, 1], [1, 1, 0]]))
+def test_hnf_matches_insertion_oracle(shape_rows):
+    _, rows = shape_rows
+    hnf = hermite_normal_form(rows)
+    assert hnf == _insertion_hnf(rows)
+    assert all(type(x) is int for row in hnf for x in row)
+

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from tropicoh.cohomology import multitangent_space
+from tropicoh.convex import satisfies
 from tropicoh.errors import ColoopError, LoopError, MatroidAxiomError
 from tropicoh.matroids import (
     Matroid,
@@ -99,7 +100,7 @@ def test_bergman_free_matroid_covers_space():
     # Support is all of R^2: every quadrant direction lies in some cone.
     probes = [(1, 0), (0, 1), (-1, 0), (0, -1), (5, -7), (-3, -4)]
     for p in probes:
-        assert any(fan.cells[i].contains_point(p)
+        assert any(satisfies(p, *fan.cells[i].hrep)
                    for i in fan.facet_indices())
 
 

@@ -1,6 +1,7 @@
 """Tropical modifications: graphs, completion, divisors, projections."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -93,6 +94,20 @@ def test_complete_modification_constant():
     assert res.divisor is None
     ok, _ = is_balanced(res.graph)
     assert ok
+
+
+def test_modification_refines_the_source_once():
+    # The graph is lifted from the pieces that refine the source, and it
+    # equals the public graph_complex.
+    p = PLFunction(MAX, terms=[(0, (0, 0)), (0, (1, 0)), (0, (0, 1))])
+    w = rn_complex(2)
+    with mock.patch.object(PLFunction, "affine_pieces", autospec=True,
+                           side_effect=PLFunction.affine_pieces) as spy:
+        res = complete_modification(w, p)
+    assert spy.call_count == 1
+    graph = graph_complex(w, p)
+    assert {graph.cells[i].key for i in graph.facet_indices()} <= \
+        {c.key for c in res.graph.cells}
 
 
 def test_standard_plane_from_r2():

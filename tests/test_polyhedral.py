@@ -52,7 +52,6 @@ from tropicoh.polyhedral import (
     sedentarity_of,
     star,
     stratum_piece,
-    vrep_to_hrep,
 )
 
 F = Fraction
@@ -89,7 +88,7 @@ def test_sedentarity_of_point():
 
 def test_vrep_to_hrep_segment():
     p = Polyhedron(1, [(0,), (1,)])
-    ineqs = vrep_to_hrep(p)
+    ineqs = p.hrep[1]
     assert sorted(ineqs) == [((-1,), F(-1)), ((1,), F(0))]
 
 
@@ -101,7 +100,7 @@ def test_vrep_to_hrep_diagonal_ray():
 
 def test_vrep_to_hrep_full_plane():
     p = Polyhedron(2, [(0, 0)], [(1, 0), (-1, 0), (0, 1), (0, -1)])
-    assert vrep_to_hrep(p) == []
+    assert p.hrep[1] == ()
 
 
 def test_faces_triangle():
@@ -381,7 +380,7 @@ def _oracle_intersect(a, b):
         for row, p in zip(red, pivots):
             point[p] = row[-1]
         point = tuple(point)
-        basis = kernel_basis(mat([row[:-1] for row in eq_rows]))
+        basis = kernel_basis(mat([row[:-1] for row in eq_rows]), r)
     else:
         point = zero_vec(r)
         basis = [unit_vec(r, i) for i in range(r)]
@@ -736,9 +735,9 @@ def _oracle_escape_vector(sigma, esc):
     """Primitive vector of L(sigma) supported on the escaping coordinates,
     negative there: the outward side of a sedentarity jump before it was
     read as -e_j."""
-    inter = sigma.tangent.intersection(
-        Subspace(sigma.ambient_dim,
-                 [unit_vec(sigma.ambient_dim, i) for i in esc]))
+    axes = Subspace(sigma.ambient_dim,
+                    [unit_vec(sigma.ambient_dim, i) for i in esc])
+    inter = sigma.tangent.perp().sum(axes.perp()).perp()
     if inter.dim != 1:
         raise ComplexAxiomError("sedentarity jump is not corank one")
     w = primitive(inter.basis[0])
