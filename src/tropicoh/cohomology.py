@@ -480,7 +480,7 @@ def degree(c: PolyhedralComplex, cochain: dict) -> Fraction:
         sigma = c.cells[i]
         if sigma.dim != n:
             raise PurityError("cochain supported on a non-facet cell")
-        omega = wedge_vector(c.orientations[i])
+        omega = wedge_vector(sigma.orientation)
         f_n = multitangent_space(c, i, n)
         coords = f_n.coords(omega)
         if coords is None:
@@ -494,7 +494,7 @@ def canonical_top_cochain(c: PolyhedralComplex) -> dict:
     facet and zero elsewhere."""
     n = c.n
     i = min(c.facet_indices())
-    omega = wedge_vector(c.orientations[i])
+    omega = wedge_vector(c.cells[i].orientation)
     f_n = multitangent_space(c, i, n)
     coords = vec(f_n.coords(omega))
     norm = vdot(coords, coords)

@@ -201,6 +201,9 @@ def cellsheaf_from_dict(data) -> CellularSheafDatum:
                            for row in parse_list(entry["matrix"], "matrix"))
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad relation entry: {exc}") from exc
+        if (lo, hi) in maps:
+            raise ParseError(f"duplicate relation {cells[lo].id} -> "
+                             f"{cells[hi].id}")
         maps[(lo, hi)] = matrix
     return CellularSheafDatum(cells, maps, direction)
 
@@ -251,6 +254,8 @@ def plfunction_from_dict(data, reference=None) -> PLFunction:
                 raise ParseError(f"linear must have length "
                                  f"{reference.ambient_dim}")
             key = reference.cells[facets[idx]].key
+            if key in per_facet:
+                raise ParseError(f"duplicate cell_id {idx}")
             per_facet[key] = (lin, const)
         return PLFunction(per_facet=per_facet)
     raise ParseError("function needs either terms or per_facet")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import convex
 from .errors import ComplexAxiomError, PurityError
@@ -58,13 +58,16 @@ def sedentarity_of(point) -> frozenset[int]:
 
 
 class Polyhedron:
-    """conv(vertices) + cone(rays) inside the stratum R^r_I of T^r."""
+    """conv(vertices) + cone(rays) inside the stratum R^r_I of T^r.
 
-    __slots__ = ("ambient_dim", "sedentarity", "vertices", "rays",
-                 "_hrep", "_tangent", "_lattice", "_key")
+    Cells are interned: `Polyhedron(...)` returns the one cell of its
+    canonical V-signature (ambient dimension, sedentarity, sorted vertices
+    and primitive rays), so everything derived from a cell is computed
+    once, on first read, and kept on it.  Two V-representations of one
+    point set are two cells with equal `key`.
+    """
 
-    def __init__(self, ambient_dim: int, vertices, rays=(), sedentarity=()):
-        self.ambient_dim = ambient_dim
+    def __new__(cls, ambient_dim: int, vertices, rays=(), sedentarity=()):
         sed = set(sedentarity)
         verts = []
         for v in vertices:
@@ -80,9 +83,9 @@ class Polyhedron:
             verts.append(tuple(row))
         if not verts:
             raise ValueError("polyhedron needs at least one vertex")
-        self.sedentarity = frozenset(sed)
+        sed = frozenset(sed)
         for v in verts:
-            for i in self.sedentarity:
+            for i in sed:
                 if v[i] != 0:
                     raise ValueError("sedentary coordinate must be -inf on "
                                      "every vertex")
@@ -91,32 +94,22 @@ class Polyhedron:
             r = vec(r)
             if len(r) != ambient_dim:
                 raise ValueError("ray of wrong length")
-            if any(r[i] != 0 for i in self.sedentarity):
+            if any(r[i] != 0 for i in sed):
                 raise ValueError("ray has a component in a sedentary direction")
             if not is_zero_vec(r):
                 clean_rays.append(primitive(r))
-        self.vertices = tuple(sorted(set(verts)))
-        self.rays = tuple(sorted(set(clean_rays)))
-        self._hrep = None
-        self._tangent = None
-        self._lattice = None
-        self._key = None
+        return _interned(ambient_dim, sed, tuple(sorted(set(verts))),
+                         tuple(sorted(set(clean_rays))))
 
     # -- derived geometry ---------------------------------------------------
-    # Face enumeration recreates equal cells many times, so the expensive
-    # derived data is memoized per process under the canonical V-signature
-    # (see _hrep_of, _tangent_of, _lattice_of) and then kept on the cell.
 
-    def _signature(self):
-        return (self.ambient_dim, tuple(sorted(self.sedentarity)),
-                self.vertices, self.rays)
-
-    @property
+    @cached_property
     def hrep(self):
-        """(equations, inequalities) of the mobile part, canonical."""
-        if self._hrep is None:
-            self._hrep = _hrep_of(self._signature())
-        return self._hrep
+        """(equations, inequalities) of the mobile part, canonical; the
+        inequalities are irredundant, one per facet."""
+        eqs, ineqs = convex.polyhedron_facets(self.vertices, self.rays,
+                                              self.ambient_dim)
+        return tuple(eqs), tuple(ineqs)
 
     @property
     def recession_hrep(self):
@@ -130,34 +123,63 @@ class Polyhedron:
     def dim(self) -> int:
         return self.tangent.dim
 
-    @property
+    @cached_property
     def tangent(self) -> Subspace:
         """The direction space L(sigma), embedded in Q^r with zeros on I."""
-        if self._tangent is None:
-            self._tangent = _tangent_of(self._signature())
-        return self._tangent
+        v0 = self.vertices[0]
+        dirs = ([vsub(v, v0) for v in self.vertices[1:]]
+                + [vec(r) for r in self.rays])
+        return Subspace(self.ambient_dim, dirs)
 
-    @property
+    @cached_property
     def lattice(self) -> Lattice:
         """Z(sigma): the integer points of the tangent space."""
-        if self._lattice is None:
-            self._lattice = _lattice_of(self.tangent)
-        return self._lattice
+        return Lattice.from_subspace(self.tangent)
 
-    @property
+    @cached_property
     def key(self):
         """Canonical identity: ambient, sedentarity and H-representation."""
-        if self._key is None:
-            eqs, ineqs = self.hrep
-            self._key = (self.ambient_dim, tuple(sorted(self.sedentarity)),
-                         eqs, ineqs)
-        return self._key
+        return (self.ambient_dim, tuple(sorted(self.sedentarity))) + self.hrep
+
+    @cached_property
+    def orientation(self) -> tuple[Vec, ...]:
+        """Ordered basis of L(sigma): the Hermite lattice basis, with a
+        one-dimensional cell turned along its first ray, or else from its
+        lowest to its highest vertex.  Each depends only on the point set,
+        so cells with equal `key` have equal orientations."""
+        basis = [vec(b) for b in self.lattice.basis]
+        if self.dim == 1:
+            direction = (vec(self.rays[0]) if self.rays
+                         else vsub(self.vertices[-1], self.vertices[0]))
+            if vdot(basis[0], direction) < 0:
+                basis[0] = vscale(-1, basis[0])
+        return tuple(basis)
+
+    @cached_property
+    def facets(self) -> tuple["Polyhedron", ...]:
+        """The faces one dimension down, one per inequality of `hrep`, in
+        its order: the vertices and rays on which it is tight.  Every face
+        holds a vertex, since a linear function bounded below on the cell
+        attains its minimum at one."""
+        out = []
+        for a, b in self.hrep[1]:
+            verts = tuple(v for v in self.vertices
+                          if convex.satisfies(v, [(a, b)], ()))
+            rays = tuple(r for r in self.rays if idot(a, r) == 0)
+            # Sub-tuples of a sorted signature are sorted signatures.
+            out.append(_interned(self.ambient_dim, self.sedentarity,
+                                 verts, rays))
+        return tuple(out)
 
     def sort_key(self):
         return (self.dim, tuple(sorted(self.sedentarity)),
                 self.key[2], self.key[3])
 
     def relint_point(self) -> Vec:
+        return self._relint_point
+
+    @cached_property
+    def _relint_point(self) -> Vec:
         p = zero_vec(self.ambient_dim)
         for v in self.vertices:
             p = vadd(p, v)
@@ -197,24 +219,12 @@ class Polyhedron:
 
 
 @lru_cache(maxsize=None)
-def _hrep_of(signature):
-    ambient_dim, _, vertices, rays = signature
-    eqs, ineqs = convex.polyhedron_facets(vertices, rays, ambient_dim)
-    return tuple(eqs), tuple(ineqs)
-
-
-@lru_cache(maxsize=None)
-def _tangent_of(signature) -> Subspace:
-    ambient_dim, _, vertices, rays = signature
-    v0 = vertices[0]
-    dirs = [vsub(v, v0) for v in vertices[1:]] + [vec(r) for r in rays]
-    return Subspace(ambient_dim, dirs)
-
-
-@lru_cache(maxsize=None)
-def _lattice_of(tangent: Subspace) -> Lattice:
-    # Subspaces hash and compare by (ambient_dim, basis).
-    return Lattice.from_subspace(tangent)
+def _interned(ambient_dim, sedentarity, vertices, rays) -> Polyhedron:
+    """The one cell of a canonical V-signature: the memo for every cell."""
+    p = object.__new__(Polyhedron)
+    p.ambient_dim, p.sedentarity = ambient_dim, sedentarity
+    p.vertices, p.rays = vertices, rays
+    return p
 
 
 def from_hrep(ambient_dim: int, equations, inequalities, sedentarity):
@@ -233,20 +243,12 @@ def from_hrep(ambient_dim: int, equations, inequalities, sedentarity):
 
 
 def faces(p: Polyhedron) -> list[Polyhedron]:
-    """All faces of the same sedentarity, including p itself."""
+    """All faces of the same sedentarity, including p itself: the closure
+    of p under `facets`, one representative per key (the first reached)."""
     found = {p.key: p}
     frontier = [p]
     while frontier:
-        q = frontier.pop()
-        eqs, ineqs = q.hrep
-        for a, b in ineqs:
-            tight_verts = [v for v in q.vertices
-                           if convex.satisfies(v, [(a, b)], ())]
-            tight_rays = [r for r in q.rays if idot(a, r) == 0]
-            if not tight_verts:
-                continue
-            f = Polyhedron(p.ambient_dim, tight_verts, tight_rays,
-                           p.sedentarity)
+        for f in frontier.pop().facets:
             if f.key not in found:
                 found[f.key] = f
                 frontier.append(f)
@@ -318,13 +320,12 @@ class PolyhedralComplex:
     """A face-closed weighted rational polyhedral complex in T^r."""
 
     def __init__(self, ambient_dim, tropical_coords, cells, covers, weights,
-                 orientations, signs):
+                 signs):
         self.ambient_dim = ambient_dim
         self.tropical_coords = frozenset(tropical_coords)
         self.cells = tuple(cells)
         self.covers = tuple(sorted(covers))
         self.weights = dict(weights)
-        self.orientations = dict(orientations)
         self.signs = dict(signs)
         self._index = {c.key: i for i, c in enumerate(self.cells)}
         self._cofaces_cache = None
@@ -421,31 +422,10 @@ def _incidence_sign(tau: Polyhedron, sigma: Polyhedron) -> int:
     def minor(rows):
         return det(tuple(tuple(r[i] for i in cols) for r in rows))
 
-    d = minor(_orientation(sigma)) * minor((u,) + _orientation(tau))
+    d = minor(sigma.orientation) * minor((u,) + tau.orientation)
     if d == 0:
         raise ComplexAxiomError("degenerate incidence")
     return 1 if d > 0 else -1
-
-
-@lru_cache(maxsize=None)
-def _orientation(p: Polyhedron):
-    """Deterministic ordered basis of L(p): the HNF lattice basis, with
-    one-dimensional cells oriented along their geometry.
-
-    Memoized per process; cells hash and compare by `key`, so every cell
-    equal to the first one seen gets that cell's orientation.
-    """
-    basis = [vec(b) for b in p.lattice.basis]
-    if p.dim == 1:
-        direction = None
-        if p.rays:
-            direction = vec(p.rays[0])
-        elif len(p.vertices) >= 2:
-            vs = sorted(p.vertices)
-            direction = vsub(vs[-1], vs[0])
-        if direction is not None and vdot(basis[0], direction) < 0:
-            basis[0] = vscale(-1, basis[0])
-    return tuple(basis)
 
 
 def lattice_quotient(sigma: Polyhedron, tau: Polyhedron) -> Vec:
@@ -514,12 +494,11 @@ def build_complex(maximal_cells, tropical_coords=()) -> PolyhedralComplex:
     for c, w in entries:
         weights[index[c.key]] = w
 
-    orientations = {i: _orientation(c) for i, c in enumerate(ordered)}
     signs = {(t, s): _incidence_sign(ordered[t], ordered[s])
              for t, s in covers}
 
     return PolyhedralComplex(ambient, tropical, ordered, covers, weights,
-                             orientations, signs)
+                             signs)
 
 
 def _validate_intersections(ordered, dominated, face_keys):
@@ -596,7 +575,7 @@ def fundamental_cycle_boundary(c: PolyhedralComplex):
             sigma = c.cells[s]
             if sigma.dim != n:
                 continue
-            omega = list(c.orientations[s])
+            omega = list(sigma.orientation)
             if sigma.sedentarity != tau.sedentarity:
                 esc = tau.sedentarity - sigma.sedentarity
                 omega = [tuple(Fraction(0) if i in esc else x

@@ -21,7 +21,6 @@ from .linalg import Subspace, det, sort_with_sign, vdot, vec, vsub
 from .polynomial import Poly, integrate_over_simplex
 from .polyhedral import (
     Polyhedron,
-    faces,
     intersect,
     lattice_quotient,
     normal_sum,
@@ -48,7 +47,7 @@ class PolySuperform:
                                   f"bidegree ({p},{q})")
             if list(k) != sorted(set(k)) or list(l) != sorted(set(l)):
                 raise DegreeError("index tuples must be strictly increasing")
-            if any(i >= ambient_dim for i in k + l):
+            if any(not 0 <= i < ambient_dim for i in k + l):
                 raise DimensionError("index out of range")
             if isinstance(poly, Poly):
                 if poly.nvars != ambient_dim:
@@ -290,17 +289,15 @@ def integrate_cell(alpha: PolySuperform, cell: Polyhedron) -> Fraction:
 
 
 def boundary_integral(beta: PolySuperform, cell: Polyhedron) -> Fraction:
-    """Sum over same-sedentarity codimension-one faces of the integral of
-    the contraction against the inward primitive normal (slot n)."""
+    """Sum over the facets of the cell of the integral of the contraction
+    against the inward primitive normal (slot n)."""
     n = cell.dim
     if (beta.p, beta.q) != (n, n - 1):
         raise DegreeError(f"need an ({n},{n - 1})-form on a {n}-cell")
     if not cell.is_bounded():
         raise UnboundedDomainError("boundary integration needs a bounded cell")
     total = Fraction(0)
-    for tau in faces(cell):
-        if tau.dim != n - 1:
-            continue
+    for tau in cell.facets:
         nu = lattice_quotient(cell, tau)
         total += integrate_cell(contract(beta, nu, n), tau)
     return total

@@ -14,7 +14,6 @@ from tropicoh.cohomology import (
     betti_tables,
     build_cosheaf,
     build_sheaf,
-    canonical_top_cochain,
     compact_cohomology,
     degree,
     inclusion_map,

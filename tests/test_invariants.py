@@ -88,7 +88,7 @@ def test_degree_detector_on_unbalanced_mutant():
             r = mat_transpose(mat(m))
             coeffs = tuple(vdot(row, vec(b)) * line.signs[(v, s)]
                            for row in r)
-            omega = wedge_vector(line.orientations[s])
+            omega = wedge_vector(line.cells[s].orientation)
             f1 = multitangent_space(line, s, 1)
             coords = vec(f1.coords(omega))
             raw += line.weights.get(s, 1) * vdot(vec(coeffs), coords)
@@ -119,6 +119,46 @@ def test_no_module_level_dicts():
         held = [name for name, value in vars(module).items()
                 if isinstance(value, dict) and not name.startswith("__")]
         assert not held, f"tropicoh.{info.name} holds dicts {held}"
+
+
+def test_polyhedral_memo_is_the_interned_cell():
+    # Everything derived from one cell is kept on the interned cell, so
+    # polyhedral holds one lru_cache helper, the interning itself.
+    helpers = [name for name, value in vars(polyhedral).items()
+               if hasattr(value, "cache_info")
+               and value.__module__ == polyhedral.__name__]
+    assert helpers == ["_interned"]
+    for name in ("_hrep_of", "_tangent_of", "_lattice_of", "_orientation"):
+        assert not hasattr(polyhedral, name), name
+    assert not hasattr(Polyhedron, "_signature")
+    assert not hasattr(tropical_line(), "orientations")
+
+
+def _unused_imports(path):
+    """The names a module imports and never reads, with their lines."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{path.name}:{line} {name}"
+            for name, line in sorted(imported.items()) if name not in read]
+
+
+def test_no_unused_imports():
+    # The package's __init__ imports to re-export, so it is left out.
+    package = Path(tropicoh.__file__).parent
+    paths = ([p for p in sorted(package.glob("*.py"))
+              if p.name != "__init__.py"]
+             + sorted(Path(__file__).parent.glob("*.py")))
+    unused = [u for p in paths for u in _unused_imports(p)]
+    assert not unused, unused
 
 
 def test_one_hrep_to_vrep_path():

@@ -271,6 +271,8 @@ _BAD_STOKES_INPUTS = [
     # one on R^3 to crash with an IndexError.
     (UNBALANCED_LINE, _constant_form(1, 1)),
     (UNBALANCED_LINE, _constant_form(3, 3)),
+    # "K": [0] is no coordinate; it used to be read as the last one.
+    (UNBALANCED_LINE, _constant_form(2, 0)),
 ]
 # A function file holding JSON null: None already means "no file" above.
 JSON_NULL = object()
@@ -285,6 +287,10 @@ _BAD_FUNCTIONS = [
     5,
     JSON_NULL,
     {"terms": [{"coeff": "0", "exponents": [1]}], "mode": "avg"},
+    # The later entry for cell 1 used to overwrite the earlier one.
+    {"per_facet": [{"cell_id": 0, "linear": [0], "constant": 0},
+                   {"cell_id": 1, "linear": [0], "constant": 0},
+                   {"cell_id": 1, "linear": [1], "constant": 0}]},
 ]
 _BAD_GRAPH_ARGS = [
     ["bergman", "--graph", "a,b"],
@@ -305,6 +311,13 @@ _BAD_MATROID_FILES = [
 _BAD_COMPLEX_FILES = [
     {"ambient_dim": 1, "maximal_cells": [{"vertices": ["0"], "rays": ["1"]}]},
 ]
+# A relation listed twice: the last matrix used to win.
+_BAD_SHEAF_FILES = [
+    {"cells": [{"id": "a", "dim": 0, "space_dim": 1},
+               {"id": "e", "dim": 1, "space_dim": 1}],
+     "relations": [{"from": "a", "to": "e", "matrix": [[1]]},
+                   {"from": "a", "to": "e", "matrix": [[2]]}]},
+]
 # 1-based coordinates of the line in R^2 that do not exist.
 _BAD_PROJECT_COORDINATES = ["0", "3"]
 
@@ -318,12 +331,13 @@ _BAD_PROJECT_COORDINATES = ["0", "3"]
     + [(LINE, None, ["project", "--coordinate", k])
        for k in _BAD_PROJECT_COORDINATES]
     + [(R1, f, [verb]) for verb in ("modify", "closed-modify")
-       for f in _BAD_FUNCTIONS],
+       for f in _BAD_FUNCTIONS]
+    + [(s, None, ["cellsheaf-betti"]) for s in _BAD_SHEAF_FILES],
     ids=["tropical-coord", "weight", "maximal-cells", "monomial-length",
          "tropical-coord-float", "weight-float", "weight-bool",
          "ambient-dim-float", "form-degree-float", "form-index-float",
          "form-exponent-float", "form-ambient-too-small",
-         "form-ambient-too-large", "bergman-graph-letters",
+         "form-ambient-too-large", "form-index-zero", "bergman-graph-letters",
          "bergman-graph-triple", "os-dims-graph-letters",
          "os-dims-graph-triple", "matroid-uniform-float",
          "matroid-uniform-bool", "matroid-ground-size-float",
@@ -332,10 +346,12 @@ _BAD_PROJECT_COORDINATES = ["0", "3"]
          "project-coordinate-zero", "project-coordinate-too-large",
          "modify-exponents-too-long", "modify-exponents-empty",
          "modify-linear-too-long", "modify-scalar-file", "modify-null-file",
-         "modify-unknown-mode", "closed-modify-exponents-too-long",
+         "modify-unknown-mode", "modify-duplicate-cell-id",
+         "closed-modify-exponents-too-long",
          "closed-modify-exponents-empty", "closed-modify-linear-too-long",
          "closed-modify-scalar-file", "closed-modify-null-file",
-         "closed-modify-unknown-mode"])
+         "closed-modify-unknown-mode", "closed-modify-duplicate-cell-id",
+         "cellsheaf-duplicate-relation"])
 def test_cli_malformed_input_is_a_parse_error(tmp_path, capsys, data,
                                                form_data, argv):
     # `data` is written to a file: a complex for `stokes` when argv is

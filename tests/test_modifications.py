@@ -14,7 +14,6 @@ from tropicoh.errors import (
 from tropicoh.matroids import (
     matroidal_modification_triple,
     uniform_matroid,
-    bergman_fan,
 )
 from tropicoh.modifications import (
     MAX,

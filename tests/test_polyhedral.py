@@ -1,6 +1,9 @@
 """Polyhedra in T^r, complexes, sedentarity, balancing."""
 
+import ast
+import inspect
 import itertools
+import textwrap
 from fractions import Fraction
 from unittest import mock
 
@@ -18,6 +21,7 @@ from tropicoh.modifications import (
     complete_modification,
 )
 from tropicoh.linalg import (
+    Lattice,
     Subspace,
     det,
     idot,
@@ -35,6 +39,7 @@ from tropicoh.linalg import (
     vsub,
     zero_vec,
 )
+from tropicoh.polynomial import Poly
 from tropicoh.polyhedral import (
     NEG_INF,
     Polyhedron,
@@ -52,6 +57,12 @@ from tropicoh.polyhedral import (
     sedentarity_of,
     star,
     stratum_piece,
+)
+from tropicoh.superforms import (
+    PolySuperform,
+    boundary_integral,
+    contract,
+    integrate_cell,
 )
 
 F = Fraction
@@ -718,8 +729,8 @@ def _oracle_sign(c, t, s):
     normal of tau in sigma, as before relative-interior points."""
     tau, sigma = c.cells[t], c.cells[s]
     cols = ([vscale(-1, lattice_quotient(sigma, tau))]
-            + [vec(b) for b in c.orientations[t]])
-    rows = tuple(solve(cols, vec(b)) for b in c.orientations[s])
+            + [vec(b) for b in tau.orientation])
+    rows = tuple(solve(cols, vec(b)) for b in sigma.orientation)
     return 1 if det(rows) > 0 else -1
 
 
@@ -751,8 +762,8 @@ def _oracle_incidence_sign(tau, sigma):
     o_tau is lifted into L(sigma) by solving, then the coordinates of
     o_sigma in (outward, o_tau) are solved for and their determinant
     taken."""
-    o_sigma = polyhedral._orientation(sigma)
-    o_tau = polyhedral._orientation(tau)
+    o_sigma = sigma.orientation
+    o_tau = tau.orientation
     if tau.sedentarity == sigma.sedentarity:
         outward = vsub(tau.relint_point(), sigma.relint_point())
         cols = [outward] + [vec(b) for b in o_tau]
@@ -867,3 +878,190 @@ def test_closed_cone_stratum_pieces_match_homogenized_oracle(cone):
     except ComplexAxiomError:
         cells = faces(cone)
     _assert_pieces_match_old(cells)
+
+
+# -- the interned cell as the memo ---------------------------------------------
+# Frozen copies of the per-process helpers the interned cell replaced, and
+# of `faces` as it was before it walked `facets`.
+
+
+def _old_hrep(p):
+    eqs, ineqs = convex.polyhedron_facets(p.vertices, p.rays, p.ambient_dim)
+    return tuple(eqs), tuple(ineqs)
+
+
+def _old_key(p):
+    eqs, ineqs = _old_hrep(p)
+    return (p.ambient_dim, tuple(sorted(p.sedentarity)), eqs, ineqs)
+
+
+def _old_tangent(p):
+    v0 = p.vertices[0]
+    dirs = [vsub(v, v0) for v in p.vertices[1:]] + [vec(r) for r in p.rays]
+    return Subspace(p.ambient_dim, dirs)
+
+
+def _old_lattice(p):
+    return Lattice.from_subspace(_old_tangent(p))
+
+
+def _old_orientation(p):
+    basis = [vec(b) for b in _old_lattice(p).basis]
+    if _old_tangent(p).dim == 1:
+        direction = None
+        if p.rays:
+            direction = vec(p.rays[0])
+        elif len(p.vertices) >= 2:
+            vs = sorted(p.vertices)
+            direction = vsub(vs[-1], vs[0])
+        if direction is not None and vdot(basis[0], direction) < 0:
+            basis[0] = vscale(-1, basis[0])
+    return tuple(basis)
+
+
+def _old_faces(p):
+    """The tight-set walk: every inequality of every face found so far cuts
+    the face tight on it."""
+    found = {_old_key(p): p}
+    frontier = [p]
+    while frontier:
+        q = frontier.pop()
+        for a, b in _old_hrep(q)[1]:
+            tight_verts = [v for v in q.vertices
+                           if convex.satisfies(v, [(a, b)], ())]
+            tight_rays = [r for r in q.rays if idot(a, r) == 0]
+            if not tight_verts:
+                continue
+            f = Polyhedron(p.ambient_dim, tight_verts, tight_rays,
+                           p.sedentarity)
+            if _old_key(f) not in found:
+                found[_old_key(f)] = f
+                frontier.append(f)
+    return sorted(found.values(),
+                  key=lambda f: (_old_tangent(f).dim,
+                                 tuple(sorted(f.sedentarity)),
+                                 _old_key(f)[2], _old_key(f)[3]))
+
+
+def _vrep(p):
+    return p.ambient_dim, p.sedentarity, p.vertices, p.rays
+
+
+def _assert_memo_matches_old(p):
+    assert p.hrep == _old_hrep(p)
+    assert p.key == _old_key(p)
+    assert p.tangent == _old_tangent(p)
+    assert p.lattice == _old_lattice(p)
+    assert p.orientation == _old_orientation(p)
+    old = _old_faces(p)
+    assert [_vrep(f) for f in faces(p)] == [_vrep(f) for f in old]
+    assert len(p.facets) == len(p.hrep[1])
+    assert all(f.dim == p.dim - 1 for f in p.facets)
+    assert ({f.key for f in p.facets}
+            == {_old_key(f) for f in old if f.dim == p.dim - 1})
+
+
+@st.composite
+def _memo_cells(draw):
+    """Cells with sedentarity, rays, lineality (+-e_j rays, as in product
+    cells), a second base point on a lineality direction, and redundant
+    vertices and rays."""
+    dim = draw(st.integers(1, 3))
+    sed = draw(st.sets(st.integers(0, dim - 1), max_size=dim - 1))
+    pin = lambda xs: tuple(0 if i in sed else x for i, x in enumerate(xs))
+    verts = [pin(v) for v in draw(_points(dim, size=(1, 4)))]
+    rays = [pin(r) for r in draw(_points(dim, size=(0, 2)))]
+    mobile = sorted(set(range(dim)) - sed)
+    for j in draw(st.sets(st.sampled_from(mobile), max_size=2)):
+        e = unit_vec(dim, j)
+        rays += [e, vscale(-1, e)]
+        if draw(st.booleans()):
+            verts.append(vadd(verts[0], vscale(draw(_coord), e)))
+    if len(verts) >= 2 and draw(st.booleans()):
+        verts.append(vscale(F(1, 2), vadd(verts[0], verts[1])))
+    if len(rays) >= 2 and draw(st.booleans()):
+        rays.append(vadd(rays[0], rays[1]))
+    return Polyhedron(dim, verts, rays, sed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_memo_cells())
+def test_cell_memo_matches_frozen_helpers(cell):
+    _assert_memo_matches_old(cell)
+
+
+@pytest.mark.parametrize("name", sorted(_BUILD_CASES))
+def test_complex_cells_memo_matches_frozen_helpers(name):
+    for cell in _BUILD_CASES[name]().cells:
+        _assert_memo_matches_old(cell)
+
+
+def test_equal_signature_is_one_cell():
+    a = Polyhedron(2, [(0, 0), (1, 0)], [(2, 2)])
+    assert Polyhedron(2, [(F(1), 0), (0, 0), (0, 0)], [(1, 1), (3, 3)]) is a
+    b = Polyhedron(2, [(NEG_INF, 1)], [(0, 1)])
+    assert Polyhedron(2, [(0, 1)], [(0, 2)], sedentarity={0}) is b
+    assert Polyhedron(2, [(0, 1)], [(0, 2)]) is not b
+
+
+def test_two_vreps_of_one_line_are_two_cells():
+    a = Polyhedron(2, [(0, 0)], [(1, 1), (-1, -1)])
+    b = Polyhedron(2, [(1, 1)], [(1, 1), (-1, -1)])
+    two = Polyhedron(2, [(0, 0), (1, 1)], [(1, 1), (-1, -1)])
+    assert a is not b and b is not two
+    assert a.key == b.key == two.key and a == b == two
+    assert a.orientation == b.orientation == two.orientation
+    # Each keeps its own representative, and so does a cell it bounds.
+    assert faces(a)[0] is a and faces(b)[0] is b and faces(two)[0] is two
+    half = Polyhedron(2, [(0, 0), (1, 1)], [(1, 1), (-1, -1), (1, 0)])
+    assert [f.vertices for f in half.facets] == [((0, 0), (1, 1))]
+    assert faces(half)[0] is half.facets[0] is two
+
+
+def _old_boundary_integral(beta, cell):
+    n = cell.dim
+    total = F(0)
+    for tau in _old_faces(cell):
+        if tau.dim != n - 1:
+            continue
+        nu = lattice_quotient(cell, tau)
+        total += integrate_cell(contract(beta, nu, n), tau)
+    return total
+
+
+@st.composite
+def _forms_on_polytopes(draw):
+    """A bounded cell, maybe lower-dimensional or with redundant vertices,
+    and an (n, n-1)-form on its ambient space, n the cell dimension."""
+    ambient = draw(st.integers(1, 3))
+    verts = draw(_points(ambient, size=(2, 5)))
+    if draw(st.booleans()):
+        verts.append(vscale(F(1, 2), vadd(vec(verts[0]), vec(verts[1]))))
+    cell = Polyhedron(ambient, verts)
+    n = cell.dim
+    assume(n >= 1)
+    keys = list(itertools.product(itertools.combinations(range(ambient), n),
+                                  itertools.combinations(range(ambient),
+                                                         n - 1)))
+    terms = {}
+    for key in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3)):
+        mono = tuple(draw(st.integers(0, 2)) for _ in range(ambient))
+        coeff = F(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+        terms[key] = Poly(ambient, {mono: coeff})
+    return PolySuperform(ambient, n, n - 1, terms), cell
+
+
+@settings(max_examples=60, deadline=None)
+@given(_forms_on_polytopes())
+def test_boundary_integral_matches_faces_then_filter(form_and_cell):
+    beta, cell = form_and_cell
+    assert boundary_integral(beta, cell) == _old_boundary_integral(beta, cell)
+
+
+def test_boundary_integral_reads_facets():
+    # The codimension-one faces come from `facets`; `faces` is called by
+    # `build_complex` and `infinite_faces`, not by integration.
+    source = inspect.getsource(boundary_integral)
+    names = {n.id for n in ast.walk(ast.parse(textwrap.dedent(source)))
+             if isinstance(n, ast.Name)}
+    assert "faces" not in names

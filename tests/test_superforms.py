@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropicoh.errors import DegreeError, DimensionError, UnboundedDomainError
-from tropicoh.linalg import mat_mul, mat, vec
+from tropicoh.linalg import mat_mul, mat
 from tropicoh.polynomial import Poly
 from tropicoh.polyhedral import Polyhedron, build_complex
 from tropicoh.superforms import (
@@ -346,6 +346,16 @@ def test_cancellation_rejects_a_form_of_another_ambient(ambient):
     beta = form_from_terms(ambient, 1, 0, [((ambient - 1,), (), 1)])
     with pytest.raises(DimensionError):
         balanced_face_cancellation(line, beta, ((-2, -2), (2, 2)))
+
+
+@pytest.mark.parametrize("index", [((-1,), ()), ((0,), (-2,)), ((2,), ())],
+                         ids=["negative-first", "negative-second", "past-end"])
+def test_superform_index_outside_the_coordinates(index):
+    # A negative index used to be accepted and read as a coordinate counted
+    # from the end.
+    p, q = (len(k) for k in index)
+    with pytest.raises(DimensionError):
+        PolySuperform(2, p, q, {index: 1})
 
 
 def test_cancellation_axes():
