@@ -58,6 +58,8 @@ def _emit(report, out_path=None):
 
 
 def _load_matroid_arg(args):
+    if sum(map(bool, (args.uniform, args.graph, args.file))) != 1:
+        raise ParseError("need exactly one of --uniform, --graph, --file")
     if args.uniform:
         r, n = args.uniform
         return uniform_matroid(r, n)
@@ -67,9 +69,7 @@ def _load_matroid_arg(args):
         if any(len(e) != 2 for e in edges):
             raise ParseError("--graph edges are pairs U,V")
         return matroid_from({"graph": edges})
-    if args.file:
-        return tio.load_matroid(args.file)
-    raise ParseError("need --uniform, --graph, or --file")
+    return tio.load_matroid(args.file)
 
 
 def cmd_validate(args):
@@ -203,6 +203,8 @@ def cmd_cellsheaf_betti(args):
 
 
 def cmd_stokes(args):
+    if args.box <= 0:
+        raise ParseError(f"--box must be a positive half-width: {args.box}")
     c = tio.load_complex(args.complex)
     n = c.n
     if args.form:

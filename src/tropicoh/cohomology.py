@@ -485,7 +485,7 @@ def degree(c: PolyhedralComplex, cochain: dict) -> Fraction:
         coords = f_n.coords(omega)
         if coords is None:
             raise ValidationError("fundamental class escapes F_n")
-        total += c.weights.get(i, 1) * vdot(vec(coeffs), vec(coords))
+        total += c.weight(i) * vdot(vec(coeffs), vec(coords))
     return total
 
 

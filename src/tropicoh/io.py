@@ -99,7 +99,7 @@ def complex_to_dict(c: PolyhedralComplex) -> dict:
                           rational_to_str(x) for j, x in enumerate(v)])
         rays = [[rational_to_str(x) for x in r] for r in cell.rays]
         cells.append({"vertices": verts, "rays": rays,
-                      "weight": c.weights.get(i, 1)})
+                      "weight": c.weight(i)})
     return {
         "ambient_dim": c.ambient_dim,
         "tropical_coords": sorted(i + 1 for i in c.tropical_coords),

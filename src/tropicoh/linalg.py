@@ -375,102 +375,52 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 def smith_normal_form(m) -> tuple[Mat, Mat, Mat]:
     """Smith normal form of an integer matrix.
 
-    Returns (U, D, V) with U @ m @ V = D, U and V unimodular, and the
-    diagonal of D a divisibility chain d_1 | d_2 | ...
+    Returns int matrices (U, D, V) with U @ m @ V = D, U and V
+    unimodular, and the diagonal of D a nonnegative divisibility chain
+    d_1 | d_2 | ...  D is unique; U and V are not.
+
+    The minimum-pivot loop (Newman, Integral Matrices, ch. II): the least
+    nonzero entry of the remaining block moves to the corner and clears
+    its column and row by floor quotients; a remainder left is a smaller
+    entry, so the loop goes round again.  Once they are clear, a block
+    entry the corner does not divide has its row added to the corner's
+    row, which leaves a remainder on the next round.  A negative corner
+    row is negated.  Row operations go into U, column operations into V.
     """
-    work = _int_rows(m)
-    nrows = len(work)
-    ncols = len(work[0]) if work else 0
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def row_op(i, j, a, b, c, d):
-        # (row_i, row_j) <- (a*row_i + b*row_j, c*row_i + d*row_j); ad-bc = +-1
-        for t in (work, u):
-            ri, rj = t[i], t[j]
-            t[i] = [a * p + b * q for p, q in zip(ri, rj)]
-            t[j] = [c * p + d * q for p, q in zip(ri, rj)]
-
-    def col_op(i, j, a, b, c, d):
-        for t in (work, v):
-            for row in t:
-                p, q = row[i], row[j]
-                row[i] = a * p + b * q
-                row[j] = c * p + d * q
-
-    k = 0
-    while k < min(nrows, ncols):
-        # Find a nonzero pivot in the remaining block.
-        pos = None
-        for i in range(k, nrows):
-            for j in range(k, ncols):
-                if work[i][j] != 0:
-                    pos = (i, j)
-                    break
-            if pos:
-                break
-        if pos is None:
-            break
-        i, j = pos
-        if i != k:
-            row_op(k, i, 0, 1, 1, 0)
-        if j != k:
-            col_op(k, j, 0, 1, 1, 0)
+    a = _int_rows(m)
+    nrows, ncols = len(a), len(a[0]) if a else 0
+    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    for k in range(min(nrows, ncols)):
         while True:
-            # Clear column k with row operations.
-            done = True
-            for i in range(k + 1, nrows):
-                if work[i][k] != 0:
-                    a, b = work[k][k], work[i][k]
-                    if b % a == 0:
-                        q = b // a
-                        work[i] = [p - q * r for p, r in zip(work[i], work[k])]
-                        u[i] = [p - q * r for p, r in zip(u[i], u[k])]
-                    else:
-                        g, x, y = _xgcd(a, b)
-                        row_op(k, i, x, y, -(b // g), a // g)
-                        done = False
-            for j in range(k + 1, ncols):
-                if work[k][j] != 0:
-                    a, b = work[k][k], work[k][j]
-                    if b % a == 0:
-                        q = b // a
-                        col_op(j, k, 1, -q, 0, 1)
-                    else:
-                        g, x, y = _xgcd(a, b)
-                        col_op(k, j, x, y, -(b // g), a // g)
-                        done = False
-            if done and all(work[i][k] == 0 for i in range(k + 1, nrows)) \
-                    and all(work[k][j] == 0 for j in range(k + 1, ncols)):
+            block = [(abs(a[i][j]), i, j) for i in range(k, nrows)
+                     for j in range(k, ncols) if a[i][j]]
+            if not block:
                 break
-        k += 1
-
-    # Enforce the divisibility chain with the standard 2x2 block fix.
-    rank = sum(1 for i in range(min(nrows, ncols)) if work[i][i] != 0)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(rank - 1):
-            a, b = work[i][i], work[i + 1][i + 1]
-            if a != 0 and b % a != 0:
-                row_op(i, i + 1, 1, 1, 0, 1)  # row_i += row_{i+1}
-                g, x, y = _xgcd(work[i][i], work[i][i + 1])
-                col_op(i, i + 1, x, y,
-                       -(work[i][i + 1] // g), work[i][i] // g)
-                if work[i + 1][i] != 0:
-                    q = work[i + 1][i] // work[i][i]
-                    row_op(i, i + 1, 1, 0, -q, 1)  # row_{i+1} -= q*row_i
-                changed = True
-    for i in range(rank):
-        if work[i][i] < 0:
-            for row in work:
-                row[i] = -row[i]
-            for row in v:
-                row[i] = -row[i]
-    U = mat(u)
-    D = mat(work)
-    V = mat(v)
-    return U, D, V
+            _, i, j = min(block)
+            a[k], a[i], u[k], u[i] = a[i], a[k], u[i], u[k]
+            for row in a + v:
+                row[k], row[j] = row[j], row[k]
+            p = a[k][k]
+            for i in range(k + 1, nrows):
+                q = a[i][k] // p
+                a[i] = [x - q * y for x, y in zip(a[i], a[k])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[k])]
+            for j in range(k + 1, ncols):
+                q = a[k][j] // p
+                for row in a + v:
+                    row[j] -= q * row[k]
+            if any(a[i][k] for i in range(k + 1, nrows)) or any(a[k][k + 1:]):
+                continue
+            bad = next((i for i in range(k + 1, nrows)
+                        if any(x % p for x in a[i][k + 1:])), None)
+            if bad is None:
+                break
+            a[k] = [x + y for x, y in zip(a[k], a[bad])]
+            u[k] = [x + y for x, y in zip(u[k], u[bad])]
+        if a[k][k] < 0:
+            a[k], u[k] = [-x for x in a[k]], [-x for x in u[k]]
+    return tuple(map(tuple, u)), tuple(map(tuple, a)), tuple(map(tuple, v))
 
 
 def _mat_inverse(m: Mat) -> Mat:
@@ -502,16 +452,17 @@ class Lattice:
     def from_subspace(cls, s: Subspace) -> "Lattice":
         """The saturated lattice span(s) ∩ Z^n.
 
-        Scales each basis row to a primitive integer row, then reads the
-        saturation off the Smith normal form: with U A V = D, the first
-        rank(A) rows of V^{-1} are a basis.
+        Scales each basis row to a primitive integer row, so A has full
+        row rank.  With U A V = D, the rows of V^{-1} meeting the
+        diagonal are a basis of the saturation, and row i of U A is d_i
+        times row i of V^{-1}: the basis is read off U A with no inverse.
         """
         if s.dim == 0:
             return cls(s.ambient_dim, ())
-        u, d, v = smith_normal_form([primitive(row) for row in s.basis])
-        rank = sum(1 for i in range(min(mat_shape(d))) if d[i][i] != 0)
-        v_inv = _mat_inverse(v)
-        return cls(s.ambient_dim, [v_inv[i] for i in range(rank)])
+        a = [primitive(row) for row in s.basis]
+        u, d, _ = smith_normal_form(a)
+        return cls(s.ambient_dim, [[x // d[i][i] for x in row]
+                                   for i, row in enumerate(mat_mul(u, a))])
 
     @property
     def rank(self) -> int:

@@ -23,16 +23,15 @@ from .errors import (
 )
 from .linalg import (
     Lattice,
+    Subspace,
     det,
     is_zero_vec,
     mat,
-    solve,
     unit_vec,
     vdot,
     vec,
     vscale,
     vsub,
-    zero_vec,
 )
 from .polyhedral import (
     Polyhedron,
@@ -104,12 +103,12 @@ class PLFunction:
                         f"no affine data for facet {cell}")
                 lin, const = self.per_facet[cell.key]
                 _check_integral_slopes(cell, lin)
-                out.append((cell, w.weights.get(i, 1), lin, const))
+                out.append((cell, w.weight(i), lin, const))
             _check_continuity(out, w.ambient_dim)
             return out
         for i in w.facet_indices():
             cell = w.cells[i]
-            weight = w.weights.get(i, 1)
+            weight = w.weight(i)
             for coeff, exps in self.terms:
                 lin = vec(exps)
                 eqs = list(cell.hrep[0])
@@ -221,7 +220,7 @@ def complete_modification(w: PolyhedralComplex, p: PLFunction
                           list(tau.rays) + [vscale(-1, e_last)],
                           tau.sedentarity)
         hung.append((down, tau, int(weight)))
-    maximal = [(graph.cells[i], graph.weights.get(i, 1))
+    maximal = [(graph.cells[i], graph.weight(i))
                for i in graph.facet_indices()]
     maximal.extend((down, wt) for down, _, wt in hung)
     cycle = build_complex(maximal)
@@ -307,7 +306,7 @@ def project_modification(v: PolyhedralComplex, coordinate: int
     horizontals = []
     for f in v.facet_indices():
         cell = v.cells[f]
-        weight = v.weights.get(f, 1)
+        weight = v.weight(f)
         if cell.tangent.contains(e_i):
             rec = cell.recession_hrep
             if satisfies(e_i, *rec) and satisfies(vscale(-1, e_i), *rec):
@@ -353,16 +352,8 @@ def project_modification(v: PolyhedralComplex, coordinate: int
     per_facet = {}
     for shadow, _, cell in w_facets:
         v0 = cell.vertices[0]
-        base = tuple(x for k, x in enumerate(v0) if k != i)
-        height = v0[i]
-        proj_basis = []
-        slopes = []
-        for b in cell.tangent.basis:
-            proj_basis.append(tuple(x for k, x in enumerate(vec(b)) if k != i))
-            slopes.append(vec(b)[i])
-        lin = _solve_linear_functional(proj_basis, slopes, r - 1)
-        const = height - vdot(lin, vec(base))
-        per_facet[shadow.key] = (lin, const)
+        lin = _graph_functional(cell.tangent, i)
+        per_facet[shadow.key] = (lin, v0[i] - vdot(lin, v0[:i] + v0[i + 1:]))
     func = PLFunction(per_facet={k: v_ for k, v_ in per_facet.items()})
     rebuilt = complete_modification(w, func)
     if not weighted_supports_equal(rebuilt.graph, v):
@@ -376,16 +367,19 @@ def project_modification(v: PolyhedralComplex, coordinate: int
     return ModificationResult(v, w, divisor, func, i)
 
 
-def _solve_linear_functional(directions, values, ambient):
-    """Some rational linear functional with the given values on the
-    directions (gauge freedom off their span is fixed by the solver)."""
-    if not directions:
-        return zero_vec(ambient)
-    cols = [tuple(d[k] for d in directions) for k in range(ambient)]
-    sol = solve(cols, vec(values))
-    if sol is None:
-        raise NotAModificationError("facet is not a graph over its shadow")
-    return vec(sol)
+def _graph_functional(tangent, i):
+    """The functional on the coordinates other than i whose graph holds
+    a tangent space without e_i.  With coordinate i moved last, each
+    echelon row gives the functional's entry at its pivot column (never
+    the last, as e_i is not tangent): its own last entry.  Off the
+    pivots the functional is zero, the choice a solver makes for free
+    variables."""
+    graph = Subspace(tangent.ambient_dim,
+                     [b[:i] + b[i + 1:] + b[i:i + 1] for b in tangent.basis])
+    lin = [Fraction(0)] * (tangent.ambient_dim - 1)
+    for row, p in zip(graph.basis, graph.pivots):
+        lin[p] = row[-1]
+    return tuple(lin)
 
 
 # -- weighted support comparison ---------------------------------------------------
@@ -428,9 +422,9 @@ def weighted_supports_equal(c1: PolyhedralComplex, c2: PolyhedralComplex
     if c1.ambient_dim != c2.ambient_dim or c1.n != c2.n:
         return False
     n = c1.n
-    f1 = [(c1.cells[idx], c1.weights.get(idx, 1))
+    f1 = [(c1.cells[idx], c1.weight(idx))
           for idx in c1.facet_indices() if not c1.cells[idx].sedentarity]
-    f2 = [(c2.cells[idx], c2.weights.get(idx, 1))
+    f2 = [(c2.cells[idx], c2.weight(idx))
           for idx in c2.facet_indices() if not c2.cells[idx].sedentarity]
     for source, target in ((f1, f2), (f2, f1)):
         for cell, weight in source:

@@ -368,7 +368,7 @@ class PolyhedralComplex:
         return self._cofaces_cache[i]
 
     def weight(self, i: int) -> int:
-        return self.weights[i]
+        return self.weights.get(i, 1)
 
     # -- equality as weighted complexes ---------------------------------------
 
@@ -381,7 +381,7 @@ class PolyhedralComplex:
             return False
         for i in self.facet_indices():
             j = other._index[self.cells[i].key]
-            if self.weights.get(i, 1) != other.weights.get(j, 1):
+            if self.weight(i) != other.weight(j):
                 return False
         return True
 
@@ -552,7 +552,7 @@ def normal_sum(c: PolyhedralComplex, t: int):
         sigma = c.cells[s]
         if sigma.sedentarity != tau.sedentarity:
             continue
-        nu = vscale(c.weights.get(s, 1), lattice_quotient(sigma, tau))
+        nu = vscale(c.weight(s), lattice_quotient(sigma, tau))
         total = nu if total is None else vadd(total, nu)
     return total
 
@@ -581,7 +581,7 @@ def fundamental_cycle_boundary(c: PolyhedralComplex):
                 omega = [tuple(Fraction(0) if i in esc else x
                                for i, x in enumerate(b)) for b in omega]
             w = wedge_vector(omega)
-            w = vscale(c.weights.get(s, 1) * c.signs[(t, s)], w)
+            w = vscale(c.weight(s) * c.signs[(t, s)], w)
             acc = w if acc is None else vadd(acc, w)
         if acc is not None and not is_zero_vec(acc):
             out[t] = acc
@@ -606,7 +606,7 @@ def star(c: PolyhedralComplex, cell_index: int) -> PolyhedralComplex:
         rays = [tuple(r[i] for i in keep) for r in rays]
         rays = [r for r in rays if not is_zero_vec(vec(r))]
         cone = Polyhedron(len(keep), [zero_vec(len(keep))], rays)
-        cones[cone.key] = (cone, c.weights.get(j, 1), tau.dim)
+        cones[cone.key] = (cone, c.weight(j), tau.dim)
     top = max(d for _, _, d in cones.values())
     maximal = [(p, w) for p, w, d in cones.values() if d == top]
     return build_complex(maximal)
@@ -629,7 +629,7 @@ def product(c: PolyhedralComplex, extra_dim: int, tropical: bool
             rays += [e, vscale(-1, e)]
         sed = cell.sedentarity
         maximal.append((Polyhedron(r + extra_dim, verts, rays, sed),
-                        c.weights.get(i, 1)))
+                        c.weight(i)))
     tc = set(c.tropical_coords)
     if tropical:
         tc |= set(new_coords)
@@ -653,14 +653,13 @@ def restrict_to_stratum(c: PolyhedralComplex, stratum) -> PolyhedralComplex:
         cell = c.cells[i]
         verts = [tuple(v[k] for k in keep) for v in cell.vertices]
         rays = [tuple(vec(ray)[k] for k in keep) for ray in cell.rays]
-        maximal.append((Polyhedron(len(keep), verts, rays),
-                        c.weights.get(i, 1)))
+        maximal.append((Polyhedron(len(keep), verts, rays), c.weight(i)))
     # The open stratum carries no compactification of its own.
     return build_complex(maximal)
 
 
 def closure_in(c: PolyhedralComplex, tropical_coords) -> PolyhedralComplex:
     """Rebuild the complex with the given coordinates compactified."""
-    maximal = [(c.cells[i], c.weights.get(i, 1)) for i in c.facet_indices()]
+    maximal = [(c.cells[i], c.weight(i)) for i in c.facet_indices()]
     return build_complex(
         maximal, tropical_coords=set(c.tropical_coords) | set(tropical_coords))

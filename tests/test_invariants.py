@@ -257,8 +257,8 @@ def test_unchecked_sheaf_datum_only_built_in_cohomology():
 
 def test_coordinates_read_at_pivots():
     # Coordinates in an echelon or Hermite basis are read at its pivots
-    # (`Subspace.reduce`, `Lattice.coords`); a linear solve is left only
-    # where no such basis is at hand.
+    # (`Subspace.reduce`, `Lattice.coords`, the functional of a graph in
+    # `modifications`), so no linear solve is left in the library.
     package = Path(tropicoh.__file__).parent
     callers = []
     for path in sorted(package.glob("*.py")):
@@ -271,7 +271,7 @@ def test_coordinates_read_at_pivots():
                         and isinstance(node.func, ast.Name)
                         and node.func.id == "solve"):
                     callers.append((path.name, func.name))
-    assert callers == [("modifications.py", "_solve_linear_functional")]
+    assert callers == []
     assert not hasattr(polyhedral, "_escape_vector")
     calls = {node.func.id if isinstance(node.func, ast.Name)
              else node.func.attr

@@ -297,7 +297,17 @@ _BAD_GRAPH_ARGS = [
     ["bergman", "--graph", "0,1,2"],
     ["os-dims", "--graph", "0,1", "1,x"],
     ["os-dims", "--graph", "0,1", "1,2,0"],
+    # Two matroid sources: the first of them used to win silently.
+    ["bergman", "--uniform", "2", "3", "--graph", "0,1", "1,2", "0,2"],
 ]
+# Two matroid sources, the second a valid file: `os-dims` used to return
+# the uniform matroid's dimensions without opening it.
+_BAD_SOURCE_ARGS = [
+    ["os-dims", "--uniform", "3", "4", "--file"],
+    ["bergman", "--graph", "0,1", "--file"],
+]
+# A half-width of 0 clips every face to a point, and -3 was read as 3.
+_BAD_STOKES_BOXES = ["0", "-3"]
 
 
 _BAD_MATROID_FILES = [
@@ -332,14 +342,17 @@ _BAD_PROJECT_COORDINATES = ["0", "3"]
        for k in _BAD_PROJECT_COORDINATES]
     + [(R1, f, [verb]) for verb in ("modify", "closed-modify")
        for f in _BAD_FUNCTIONS]
-    + [(s, None, ["cellsheaf-betti"]) for s in _BAD_SHEAF_FILES],
+    + [(s, None, ["cellsheaf-betti"]) for s in _BAD_SHEAF_FILES]
+    + [({"uniform": [2, 3]}, None, a) for a in _BAD_SOURCE_ARGS]
+    + [(LINE, None, ["stokes", "--box", b]) for b in _BAD_STOKES_BOXES],
     ids=["tropical-coord", "weight", "maximal-cells", "monomial-length",
          "tropical-coord-float", "weight-float", "weight-bool",
          "ambient-dim-float", "form-degree-float", "form-index-float",
          "form-exponent-float", "form-ambient-too-small",
          "form-ambient-too-large", "form-index-zero", "bergman-graph-letters",
          "bergman-graph-triple", "os-dims-graph-letters",
-         "os-dims-graph-triple", "matroid-uniform-float",
+         "os-dims-graph-triple", "bergman-uniform-and-graph",
+         "matroid-uniform-float",
          "matroid-uniform-bool", "matroid-ground-size-float",
          "matroid-basis-float", "matroid-uniform-string",
          "matroid-basis-strings", "cell-vertex-and-ray-strings",
@@ -351,7 +364,9 @@ _BAD_PROJECT_COORDINATES = ["0", "3"]
          "closed-modify-exponents-empty", "closed-modify-linear-too-long",
          "closed-modify-scalar-file", "closed-modify-null-file",
          "closed-modify-unknown-mode", "closed-modify-duplicate-cell-id",
-         "cellsheaf-duplicate-relation"])
+         "cellsheaf-duplicate-relation", "os-dims-uniform-and-file",
+         "bergman-graph-and-file", "stokes-box-zero",
+         "stokes-box-negative"])
 def test_cli_malformed_input_is_a_parse_error(tmp_path, capsys, data,
                                                form_data, argv):
     # `data` is written to a file: a complex for `stokes` when argv is

@@ -634,6 +634,41 @@ def test_snf_unimodular_and_divisibility_chain(rows):
 
 
 @settings(max_examples=150, deadline=None)
+@given(_integer_rows())
+@example([[2, 0], [0, 3]])                # a coprime diagonal is no chain
+@example([[0, -4], [0, 6]])               # the corner is made positive
+def test_snf_diagonal_is_the_determinantal_divisors(rows):
+    # d_1 ... d_k is the gcd of all k x k minors: D by a second path that
+    # runs no elimination.
+    _, d, _ = smith_normal_form(rows)
+    prefix = 1
+    for k in range(1, min(mat_shape(d)) + 1):
+        prefix *= d[k - 1][k - 1]
+        assert prefix == _determinantal_divisor(rows, k)
+
+
+def _inverse_saturation(space):
+    """Frozen copy of `Lattice.from_subspace` as it read the saturation
+    off the first rank rows of V^{-1}, by a rational inverse."""
+    if space.dim == 0:
+        return Lattice(space.ambient_dim, ())
+    u, d, v = smith_normal_form([primitive(row) for row in space.basis])
+    rank = sum(1 for i in range(min(mat_shape(d))) if d[i][i] != 0)
+    v_inv = _mat_inverse(v)
+    return Lattice(space.ambient_dim, [v_inv[i] for i in range(rank)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_rows())
+@example((3, [[2, 0, 1], [0, 2, 1]]))     # D = diag(1, 2)
+@example((4, [[3, 0, 0, 1], [0, 3, 0, 1], [0, 0, 3, 1]]))
+def test_saturation_off_u_a_matches_the_inverse_of_v(shape_rows):
+    ncols, rows = shape_rows
+    space = Subspace(ncols, rows)
+    assert Lattice.from_subspace(space) == _inverse_saturation(space)
+
+
+@settings(max_examples=150, deadline=None)
 @given(_rational_rows())
 def test_lattice_saturation_idempotent(shape_rows):
     ncols, rows = shape_rows

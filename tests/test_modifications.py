@@ -4,6 +4,8 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tropicoh.cohomology import betti_tables
 from tropicoh.errors import (
@@ -11,6 +13,7 @@ from tropicoh.errors import (
     IntegralityError,
     NotAModificationError,
 )
+from tropicoh.linalg import Subspace, solve, unit_vec, vec, zero_vec
 from tropicoh.matroids import (
     matroidal_modification_triple,
     uniform_matroid,
@@ -18,6 +21,7 @@ from tropicoh.matroids import (
 from tropicoh.modifications import (
     MAX,
     PLFunction,
+    _graph_functional,
     closed_modification,
     complete_modification,
     graph_complex,
@@ -215,3 +219,41 @@ def test_min_convention():
     ok, _ = is_balanced(res.graph)
     assert ok
     assert res.divisor is not None
+
+
+# The functional of a horizontal facet, read at the pivots of its tangent
+# space, against a frozen copy of the solve it replaced.
+
+
+def _solving_functional(directions, values, ambient):
+    if not directions:
+        return zero_vec(ambient)
+    cols = [tuple(d[k] for d in directions) for k in range(ambient)]
+    sol = solve(cols, vec(values))
+    assert sol is not None
+    return vec(sol)
+
+
+@st.composite
+def _horizontal_tangents(draw):
+    """A tangent space of Q^r without e_i, and i."""
+    r = draw(st.integers(1, 5))
+    i = draw(st.integers(0, r - 1))
+    entries = st.one_of(st.integers(-4, 4), st.builds(
+        F, st.integers(-9, 9), st.sampled_from([2, 3])))
+    rows = draw(st.lists(st.lists(entries, min_size=r, max_size=r),
+                         max_size=r))
+    tangent = Subspace(r, rows)
+    assume(not tangent.contains(unit_vec(r, i)))
+    return tangent, i
+
+
+@settings(max_examples=300, deadline=None)
+@given(_horizontal_tangents())
+def test_graph_functional_matches_the_solve(case):
+    tangent, i = case
+    basis = tangent.basis
+    expected = _solving_functional([b[:i] + b[i + 1:] for b in basis],
+                                   [b[i] for b in basis],
+                                   tangent.ambient_dim - 1)
+    assert _graph_functional(tangent, i) == expected
