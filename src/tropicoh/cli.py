@@ -207,11 +207,17 @@ def cmd_stokes(args):
         raise ParseError(f"--box must be a positive half-width: {args.box}")
     c = tio.load_complex(args.complex)
     n = c.n
+    if n < 1:
+        raise ParseError(f"stokes needs a complex of dimension >= 1, "
+                         f"this one has dimension {n}")
     if args.form:
         beta = tio.load_superform(args.form)
         if beta.ambient_dim != c.ambient_dim:
             raise ParseError(f"--form has ambient_dim {beta.ambient_dim}, "
                              f"the complex {c.ambient_dim}")
+        if (beta.p, beta.q) != (n, n - 1):
+            raise ParseError(f"--form has bidegree ({beta.p},{beta.q}), "
+                             f"a {n}-dimensional complex needs ({n},{n - 1})")
     else:
         # Default detector: the constant-coefficient form d'x_1 ^ ... with
         # the first n coordinates in the d'-part and n-1 in the d''-part.

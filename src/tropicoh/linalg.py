@@ -423,16 +423,6 @@ def smith_normal_form(m) -> tuple[Mat, Mat, Mat]:
     return tuple(map(tuple, u)), tuple(map(tuple, a)), tuple(map(tuple, v))
 
 
-def _mat_inverse(m: Mat) -> Mat:
-    n = len(m)
-    aug = [list(m[i]) + [Fraction(1 if j == i else 0) for j in range(n)]
-           for i in range(n)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix not invertible")
-    return tuple(tuple(row[n:]) for row in red)
-
-
 class Lattice:
     """A full-rank-in-its-span sublattice of Z^n with a canonical HNF basis."""
 
@@ -535,12 +525,19 @@ def lattice_quotient_primitive(z_sigma: Lattice, z_tau: Lattice, interior_witnes
     # k rows span Z_tau over Q; row k is the generator, and column k of V
     # reads its coefficient off coordinates in the basis of Z_sigma.
     if k == 0:
-        v = ((Fraction(1),),)
+        v = ((1,),)
     else:
         _, _, v = smith_normal_form([[int(x) for x in c] for c in m])
+    # Row k of V^{-1} = adj(V) / det V is the cofactors of column k,
+    # (-1)^(j+k) det(V without row j and column k), over det V = +-1;
+    # det V is the expansion of those cofactors along column k.
+    cofactors = [(-1) ** (j + k)
+                 * det(tuple(row[:k] for i, row in enumerate(v) if i != j))
+                 for j in range(k + 1)]
+    unit = sum(c * row[k] for c, row in zip(cofactors, v))
     nu = zero_vec(z_sigma.ambient_dim)
-    for c, b in zip(_mat_inverse(v)[k], z_sigma.basis):
-        nu = vadd(nu, vscale(c, b))
+    for c, b in zip(cofactors, z_sigma.basis):
+        nu = vadd(nu, vscale(unit * c, b))
     # Orient toward the witness: the witness class in span(sigma)/span(tau)
     # must be a positive multiple of nu's class.
     w = z_sigma.coords(interior_witness)

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
-from .linalg import Vec, det, vec
+from .linalg import Vec, clear_denominators, det, vec
 
 Monomial = tuple[int, ...]
 
@@ -148,20 +149,59 @@ def integrate_over_standard_simplex(p: Poly) -> Fraction:
     return total
 
 
+def _compositions(total: int, parts: int):
+    """Every tuple of `parts` nonnegative ints summing to `total`."""
+    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
+        ends = (-1,) + bars + (total + parts - 1,)
+        yield tuple(b - a - 1 for a, b in zip(ends, ends[1:]))
+
+
 def integrate_over_simplex(p: Poly, simplex_vertices: list[Vec]) -> Fraction:
     """Exact integral of p over a full-dimensional simplex in Q^n.
 
     The simplex has n+1 vertices in Q^n; volume normalization is the
     standard Lebesgue one (callers handle lattice normalization).
+
+    The Grundmann-Moller rule of degree d = 2s+1, s = deg(p) // 2
+    (Grundmann and Moller, SIAM J. Numer. Anal. 15 (1978) 282-290) has
+    rational nodes and weights and is exact for every polynomial of
+    degree <= d, so the integral is a weighted sum of point values and p
+    is never composed with the simplex map.  Layer i = 0..s has the nodes
+    sum_j (2 b_j + 1) v_j / m, m = d + n - 2i, over b in N^(n+1) with
+    |b| = s - i, each of weight (-1)^i m^d / (4^s i! (d+n-i)!) times the
+    volume factor |det E| of the edge matrix E.  The nodes are evaluated
+    in integers: with D v_j and L p integral, (mD)^deg(p) L p(node) is the
+    integer sum of C_a X^a (mD)^(deg(p) - |a|) for X = mD node.
     """
     verts = [vec(v) for v in simplex_vertices]
     n = p.nvars
     if len(verts) != n + 1:
         raise ValueError("simplex needs n+1 vertices")
     v0 = verts[0]
-    edge_cols = [tuple(v[i] - v0[i] for v in verts[1:]) for i in range(n)]
-    jac = det(tuple(edge_cols))
-    if jac == 0:
+    jac = det(tuple(tuple(v[i] - v0[i] for v in verts[1:]) for i in range(n)))
+    if jac == 0 or p.is_zero():
         return Fraction(0)
-    composed = p.compose_affine(edge_cols, v0)
-    return abs(jac) * integrate_over_standard_simplex(composed)
+    flat, den = clear_denominators([x for v in verts for x in v])
+    ints = [flat[j * n:(j + 1) * n] for j in range(n + 1)]
+    coeffs, lcd = clear_denominators(list(p.terms.values()))
+    monos = [(c, m, sum(m)) for c, m in zip(coeffs, p.terms)]
+    g = max(deg for _, _, deg in monos)
+    s = g // 2
+    d = 2 * s + 1
+    total = Fraction(0)
+    for i in range(s + 1):
+        m = d + n - 2 * i
+        qpow = [(m * den) ** (g - e) for e in range(g + 1)]
+        layer = 0
+        for b in _compositions(s - i, n + 1):
+            node = [sum((2 * bj + 1) * v[c] for bj, v in zip(b, ints))
+                    for c in range(n)]
+            for c, mono, deg in monos:
+                term = c * qpow[deg]
+                for x, e in zip(node, mono):
+                    if e:
+                        term *= x ** e
+                layer += term
+        total += Fraction((-1) ** i * m ** (d - g) * layer,
+                          4 ** s * math.factorial(i) * math.factorial(d + n - i))
+    return abs(jac) * total / (lcd * den ** g)

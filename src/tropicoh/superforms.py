@@ -33,6 +33,8 @@ class PolySuperform:
     __slots__ = ("ambient_dim", "p", "q", "terms")
 
     def __init__(self, ambient_dim: int, p: int, q: int, terms=None):
+        if ambient_dim < 0:
+            raise DimensionError(f"negative ambient dimension {ambient_dim}")
         if p < 0 or q < 0:
             raise DegreeError("negative bidegree")
         self.ambient_dim = ambient_dim
@@ -193,32 +195,38 @@ def contract(alpha: PolySuperform, v, slot: int) -> PolySuperform:
 def pullback(linear_rows, constants, alpha: PolySuperform) -> PolySuperform:
     """Pull back along the affine map y -> linear_rows @ y + constants.
 
-    The coefficient polynomials compose with the map; the index parts
-    transform by the p-th and q-th compound matrices of the linear part.
+    The index parts transform by the p-th and q-th compound matrices of
+    the linear part, and the coefficient polynomials compose with the map.
+    Composition is linear, so each target pair (K2, L2) first sums the
+    minor-weighted coefficients det(B[K, K2]) det(B[L, L2]) f_{K,L} and
+    composes that sum once.
     """
     rows = [vec(r) for r in linear_rows]
     consts = vec(constants)
     if len(rows) != alpha.ambient_dim or len(consts) != alpha.ambient_dim:
         raise DimensionError("pullback: map target mismatch")
     source_dim = len(rows[0]) if rows else 0
+
+    def minors(index_sets, degree):
+        return {(idx, cols): det(tuple(tuple(rows[i][j] for j in cols)
+                                       for i in idx))
+                for idx in index_sets
+                for cols in itertools.combinations(range(source_dim), degree)}
+
+    mk = minors({k for k, _ in alpha.terms}, alpha.p)
+    ml = minors({l for _, l in alpha.terms}, alpha.q)
     out = {}
-    k_targets = list(itertools.combinations(range(source_dim), alpha.p))
-    l_targets = list(itertools.combinations(range(source_dim), alpha.q))
-    for (k, l), f in alpha.terms.items():
-        fc = f.compose_affine(rows, consts)
-        if fc.is_zero():
-            continue
-        for k2 in k_targets:
-            mk = det(tuple(tuple(rows[i][j] for j in k2) for i in k))
-            if mk == 0:
-                continue
-            for l2 in l_targets:
-                ml = det(tuple(tuple(rows[i][j] for j in l2) for i in l))
-                if ml == 0:
-                    continue
-                key = (k2, l2)
-                term = fc.scale(mk * ml)
-                out[key] = out[key] + term if key in out else term
+    for k2 in itertools.combinations(range(source_dim), alpha.p):
+        for l2 in itertools.combinations(range(source_dim), alpha.q):
+            weighted = {}
+            for (k, l), f in alpha.terms.items():
+                w = mk[k, k2] * ml[l, l2]
+                if w:
+                    for mono, c in f.terms.items():
+                        weighted[mono] = weighted.get(mono, 0) + w * c
+            g = Poly(alpha.ambient_dim, weighted)
+            if not g.is_zero():
+                out[(k2, l2)] = g.compose_affine(rows, consts)
     return PolySuperform(source_dim, alpha.p, alpha.q, out)
 
 

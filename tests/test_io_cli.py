@@ -273,6 +273,12 @@ _BAD_STOKES_INPUTS = [
     (UNBALANCED_LINE, _constant_form(3, 3)),
     # "K": [0] is no coordinate; it used to be read as the last one.
     (UNBALANCED_LINE, _constant_form(2, 0)),
+    # A point has no (n, n-1)-forms: building the default form used to
+    # exit 1 with "negative bidegree".
+    ({"ambient_dim": 2, "maximal_cells": [{"vertices": [["0", "0"]]}]},
+     None),
+    # A (1,1)-form on a line used to exit 1 with "need an (1,0)-form".
+    (LINE, dict(FORM, q=1, terms=[dict(FORM["terms"][0], L=[2])])),
 ]
 # A function file holding JSON null: None already means "no file" above.
 JSON_NULL = object()
@@ -349,7 +355,8 @@ _BAD_PROJECT_COORDINATES = ["0", "3"]
          "tropical-coord-float", "weight-float", "weight-bool",
          "ambient-dim-float", "form-degree-float", "form-index-float",
          "form-exponent-float", "form-ambient-too-small",
-         "form-ambient-too-large", "form-index-zero", "bergman-graph-letters",
+         "form-ambient-too-large", "form-index-zero", "stokes-point-complex",
+         "form-bidegree", "bergman-graph-letters",
          "bergman-graph-triple", "os-dims-graph-letters",
          "os-dims-graph-triple", "bergman-uniform-and-graph",
          "matroid-uniform-float",
@@ -389,6 +396,13 @@ def test_cli_malformed_input_is_a_parse_error(tmp_path, capsys, data,
     code, out = run_cli(argv, capsys)
     assert code == 2
     assert json.loads(out)["error"] == "parse"
+
+
+def test_superform_negative_ambient_dim_is_a_parse_error():
+    # It used to load as a form on R^-1.
+    with pytest.raises(ParseError, match="negative ambient dimension"):
+        tio.superform_from_dict({"ambient_dim": -1, "p": 0, "q": 0,
+                                 "terms": []})
 
 
 SHEAF_DATA = {"cells": [{"id": "a", "dim": 0, "space_dim": 1},

@@ -15,7 +15,6 @@ from tropicoh.errors import CodimensionError, DimensionError
 from tropicoh.linalg import (
     Lattice,
     Subspace,
-    _mat_inverse,
     _xgcd,
     det,
     hermite_normal_form,
@@ -511,6 +510,18 @@ def test_subspace_reduce_is_the_representative_at_pivots(shape_rows, data):
     assert (not any(red)) == inside == space.contains(v)
     with pytest.raises(DimensionError):
         space.reduce(vec([0] * (ncols + 1)))
+
+
+def _mat_inverse(m):
+    """Inverse of a square matrix by a rational rref of [m | I]; the
+    oracles below read rows of the inverse of a Smith matrix from it."""
+    n = len(m)
+    aug = [list(m[i]) + [Fraction(1 if j == i else 0) for j in range(n)]
+           for i in range(n)]
+    red, pivots = rref(aug)
+    if pivots != list(range(n)):
+        raise ValueError("matrix not invertible")
+    return tuple(tuple(row[n:]) for row in red)
 
 
 def _oracle_quotient_primitive(z_sigma, z_tau, witness):

@@ -3,6 +3,11 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from tropicoh.linalg import det, vec
 from tropicoh.polynomial import (
     Poly,
     integrate_over_simplex,
@@ -100,3 +105,70 @@ def test_integrate_over_simplex_affine_invariance():
 
 def test_integrate_degenerate_simplex_is_zero():
     assert integrate_over_simplex(x(2, 0), [(0, 0), (1, 1), (2, 2)]) == 0
+
+
+def _composing_integral(p: Poly, simplex_vertices) -> Fraction:
+    """Frozen copy of `integrate_over_simplex` as it composed p with the
+    map from the standard simplex and integrated monomial by monomial."""
+    verts = [vec(v) for v in simplex_vertices]
+    n = p.nvars
+    v0 = verts[0]
+    edge_cols = [tuple(v[i] - v0[i] for v in verts[1:]) for i in range(n)]
+    jac = det(tuple(edge_cols))
+    if jac == 0:
+        return Fraction(0)
+    composed = p.compose_affine(edge_cols, v0)
+    return abs(jac) * integrate_over_standard_simplex(composed)
+
+
+_rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def _polys_and_simplices(draw):
+    """A polynomial in n <= 4 variables of degree <= 7 and n+1 rational
+    vertices; sometimes the last vertex is an affine combination of two
+    others, so the simplex is degenerate."""
+    n = draw(st.integers(0, 4))
+    degree = draw(st.integers(0, 7))
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        mono = [0] * n
+        for _ in range(draw(st.integers(0, degree))):
+            if n:
+                mono[draw(st.integers(0, n - 1))] += 1
+        terms[tuple(mono)] = draw(_rationals)
+    verts = [tuple(draw(_rationals) for _ in range(n)) for _ in range(n + 1)]
+    if n and draw(st.booleans()):
+        t = draw(_rationals)
+        a, b = verts[0], verts[draw(st.integers(1, n))]
+        verts[-1] = tuple(x + t * (y - x) for x, y in zip(a, b))
+    return Poly(n, terms), verts
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polys_and_simplices())
+@example((Poly.constant(0, F(5, 3)), [()]))
+@example((Poly(1, {(7,): 1}), [(F(-1, 2),), (3,)]))
+@example((Poly(2, {(3, 4): 2, (0, 1): -1}), [(0, 0), (1, 1), (2, 2)]))
+def test_cubature_matches_the_composing_integral(case):
+    p, verts = case
+    assert integrate_over_simplex(p, verts) == _composing_integral(p, verts)
+
+
+def test_cubature_composes_nothing(monkeypatch):
+    # The point values need no composition with the simplex map.
+    p = Poly(3, {(2, 1, 0): F(3, 2), (0, 0, 5): -1, (1, 1, 1): 4})
+    verts = [(0, 0, 0), (F(1, 2), 1, 0), (0, 2, F(-1, 3)), (1, 1, 1)]
+    expected = _composing_integral(p, verts)
+
+    def refuse(*_args):
+        raise AssertionError("compose_affine called")
+
+    monkeypatch.setattr(Poly, "compose_affine", refuse)
+    assert integrate_over_simplex(p, verts) == expected != 0
+
+
+def test_integrate_over_simplex_needs_n_plus_one_vertices():
+    with pytest.raises(ValueError):
+        integrate_over_simplex(x(2, 0), [(0, 0), (1, 0)])

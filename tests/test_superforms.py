@@ -5,15 +5,16 @@ functoriality) run under hypothesis on randomly generated polynomial
 forms; Stokes residuals are checked exactly on random simplices and boxes.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tropicoh.errors import DegreeError, DimensionError, UnboundedDomainError
-from tropicoh.linalg import mat_mul, mat
+from tropicoh.linalg import det, mat_mul, mat, vec
 from tropicoh.polynomial import Poly
 from tropicoh.polyhedral import Polyhedron, build_complex
 from tropicoh.superforms import (
@@ -53,7 +54,6 @@ def superforms(draw, nvars=None, p=None, q=None):
     n = nvars if nvars is not None else draw(st.integers(1, 3))
     p = p if p is not None else draw(st.integers(0, n))
     q = q if q is not None else draw(st.integers(0, n))
-    import itertools
     keys = list(itertools.product(
         itertools.combinations(range(n), p),
         itertools.combinations(range(n), q)))
@@ -189,6 +189,75 @@ def test_pullback_functorial_and_commutes(data):
         assert pullback(a_rows, a_const, d_second(alpha)) == \
             d_second(pullback(a_rows, a_const, alpha))
 
+
+def _termwise_pullback(linear_rows, constants, alpha):
+    """Frozen copy of `pullback` as it composed every source coefficient
+    with the map and then spread it over the target pairs by minors."""
+    rows = [vec(r) for r in linear_rows]
+    consts = vec(constants)
+    source_dim = len(rows[0]) if rows else 0
+    out = {}
+    k_targets = list(itertools.combinations(range(source_dim), alpha.p))
+    l_targets = list(itertools.combinations(range(source_dim), alpha.q))
+    for (k, l), f in alpha.terms.items():
+        fc = f.compose_affine(rows, consts)
+        if fc.is_zero():
+            continue
+        for k2 in k_targets:
+            mk = det(tuple(tuple(rows[i][j] for j in k2) for i in k))
+            if mk == 0:
+                continue
+            for l2 in l_targets:
+                ml = det(tuple(tuple(rows[i][j] for j in l2) for i in l))
+                if ml == 0:
+                    continue
+                key = (k2, l2)
+                term = fc.scale(mk * ml)
+                out[key] = out[key] + term if key in out else term
+    return PolySuperform(source_dim, alpha.p, alpha.q, out)
+
+
+@st.composite
+def _forms_and_maps(draw):
+    """A form on R^n and an affine map R^m -> R^n, m <= 3.  Map rows come
+    from a small pool, so repeated rows (a linear part that is not
+    injective, and minors that cancel between terms) are common."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 3))
+    alpha = draw(superforms(nvars=n))
+    pool = [tuple(draw(st.integers(-2, 2)) for _ in range(m))
+            for _ in range(draw(st.integers(1, n)))]
+    rows = [draw(st.sampled_from(pool)) for _ in range(n)]
+    consts = [F(draw(st.integers(-3, 3)), draw(st.integers(1, 2)))
+              for _ in range(n)]
+    return rows, consts, alpha
+
+
+# d'x_0 - d'x_1 with equal coefficients, along x -> (x, x): the two
+# composed terms cancel in the one target pair.
+_CANCELLING = ([(1,), (1,)], [0, 1],
+               form_from_terms(2, 1, 0, [((0,), (), x_poly(2, 0)),
+                                         ((1,), (), x_poly(2, 0).scale(-1))]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_forms_and_maps())
+@example(_CANCELLING)
+@example(([(1, 2, 0), (2, 4, 0)], [1, -1],
+          form_from_terms(2, 2, 1, [((0, 1), (0,), x_poly(2, 1))])))
+def test_pullback_matches_the_termwise_oracle(case):
+    rows, consts, alpha = case
+    assert pullback(rows, consts, alpha) == \
+        _termwise_pullback(rows, consts, alpha)
+
+
+def test_pullback_of_cancelling_terms_is_zero():
+    assert pullback(*_CANCELLING).is_zero()
+
+
+def test_superform_negative_ambient_dimension():
+    with pytest.raises(DimensionError):
+        PolySuperform(-1, 0, 0)
 
 # -- integration -------------------------------------------------------------------
 
