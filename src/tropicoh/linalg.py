@@ -466,15 +466,25 @@ class Lattice:
         return c is not None and all(x.denominator == 1 for x in c)
 
     def coords(self, v):
-        """Rational coordinates of v in the HNF basis, or None."""
+        """Rational coordinates of v in the HNF basis, or None.
+
+        The basis rows are integer, so an integer v is reduced in int
+        arithmetic while each pivot divides; the first inexact step
+        switches to Fraction.
+        """
         v = vec(v)
         if len(v) != self.ambient_dim:
             raise DimensionError("coords: ambient mismatch")
         coeffs = []
-        rem = list(v)
+        exact = all(x.denominator == 1 for x in v)
+        rem = [x.numerator for x in v] if exact else list(v)
         for row in self.basis:
             j = next(i for i, x in enumerate(row) if x != 0)
-            c = Fraction(rem[j], row[j])
+            if exact and rem[j] % row[j] == 0:
+                c = rem[j] // row[j]
+            else:
+                exact = False
+                c = Fraction(rem[j], row[j])
             coeffs.append(c)
             rem = [x - c * y for x, y in zip(rem, row)]
         if any(x != 0 for x in rem):

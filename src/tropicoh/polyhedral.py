@@ -19,6 +19,7 @@ from .linalg import (
     Lattice,
     Subspace,
     Vec,
+    clear_denominators,
     det,
     idot,
     is_zero_vec,
@@ -504,19 +505,70 @@ def build_complex(maximal_cells, tropical_coords=()) -> PolyhedralComplex:
 def _validate_intersections(ordered, dominated, face_keys):
     """Pairwise intersections of stratum-maximal cells must be common faces:
     their keys must lie in the face sets the closure recorded for both cells
-    (exact, since `faces` lists every nonempty face). Incidence signs take
-    the outward side from relative-interior points; see `_incidence_sign`."""
+    (exact, since `faces` lists every nonempty face).
+
+    Most pairs are settled by a linear functional (the separation lemma for
+    polyhedra; Fulton, Introduction to Toric Varieties, 1.2): see
+    `_certified`.  A pair that no functional settles in either order is
+    intersected, and raises unless the intersection is a common face.
+    """
+    cells = {c.key: c for c in ordered}
     by_sed: dict = {}
     for c in ordered:
         if c.key not in dominated:
             by_sed.setdefault(c.sedentarity, []).append(c)
     for group in by_sed.values():
         for a, b in itertools.combinations(group, 2):
+            # The face sets also hold stratum pieces; only faces of a's
+            # sedentarity can be the intersection.
+            common = (cells[k] for k in face_keys[a.key] & face_keys[b.key])
+            face = max((f for f in common if f.sedentarity == a.sedentarity),
+                       key=lambda f: f.dim, default=None)
+            if _certified(a, b, face) or _certified(b, a, face):
+                continue
             inter = intersect(a, b)
             if inter is not None and not (inter.key in face_keys[a.key]
                                           and inter.key in face_keys[b.key]):
                 raise ComplexAxiomError(
                     f"intersection of {a} and {b} is not a common face")
+
+
+def _certified(a: Polyhedron, b: Polyhedron, face) -> bool:
+    """Whether a half-space from a's H-representation proves that a and b
+    meet in `face`, a common face of both, or not at all if it is None.
+
+    For a face F, (n, beta) is the sum of a's inequalities tight on F:
+    n.x >= beta on a with equality exactly on F.  If n.x <= beta on b, then
+    a ∩ b lies in F, which lies in both.  Without a common face, a strict
+    n.x < beta on b, for n.x >= beta an inequality of a or either side of
+    an equation, makes a ∩ b empty.  b lies in a half-space when its
+    vertices do and its rays point away from the boundary or along it.
+    """
+    eqs, ineqs = a.hrep
+    if face is not None:
+        corners = [clear_denominators(v) for v in face.vertices]
+        n, beta = [0] * a.ambient_dim, 0
+        for alpha, off in ineqs:
+            if (all(idot(alpha, ints) == off * den for ints, den in corners)
+                    and all(idot(alpha, r) == 0 for r in face.rays)):
+                n = [x + y for x, y in zip(n, alpha)]
+                beta += off
+        halfspaces = [(n, beta)]
+    else:
+        halfspaces = (list(ineqs) + list(eqs)
+                      + [(tuple(-x for x in alpha), -off)
+                         for alpha, off in eqs])
+    points = [clear_denominators(v) for v in b.vertices]
+    for n, beta in halfspaces:
+        if any(idot(n, r) > 0 for r in b.rays):
+            continue
+        if face is not None:
+            inside = all(idot(n, ints) <= beta * den for ints, den in points)
+        else:
+            inside = all(idot(n, ints) < beta * den for ints, den in points)
+        if inside:
+            return True
+    return False
 
 
 # -- balancing ----------------------------------------------------------------

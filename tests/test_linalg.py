@@ -590,6 +590,51 @@ def test_lattice_coords_checks_the_ambient_length():
                                    [1, 0, 0])
 
 
+def _fraction_coords(lattice, v):
+    """Frozen copy of `Lattice.coords` as it stepped in Fraction from the
+    first basis row, before the integer path."""
+    rem = list(vec(v))
+    coeffs = []
+    for row in lattice.basis:
+        j = next(i for i, x in enumerate(row) if x != 0)
+        c = Fraction(rem[j], row[j])
+        coeffs.append(c)
+        rem = [x - c * y for x, y in zip(rem, row)]
+    if any(x != 0 for x in rem):
+        return None
+    return tuple(coeffs)
+
+
+@st.composite
+def _lattice_and_vector(draw):
+    """A lattice and an integer combination of its basis (in the lattice),
+    a rational one (in the span) or any vector (mostly outside the span)."""
+    n = draw(st.integers(1, 4))
+    ints = st.integers(-4, 4)
+    lattice = Lattice(n, [draw(st.lists(ints, min_size=n, max_size=n))
+                          for _ in range(draw(st.integers(0, n)))])
+    kind = draw(st.sampled_from(["integer", "rational", "any"]))
+    if kind == "any":
+        return lattice, vec(draw(st.lists(_entries, min_size=n, max_size=n)))
+    v = vec([0] * n)
+    for b in lattice.basis:
+        c = draw(ints if kind == "integer" else _entries)
+        v = vadd(v, vscale(c, vec(b)))
+    return lattice, v
+
+
+@settings(max_examples=400, deadline=None)
+@given(_lattice_and_vector())
+@example((Lattice(2, [[2, 1], [0, 3]]), vec([1, 2])))   # inexact first step
+@example((Lattice(2, [[1, 1], [0, 2]]), vec([1, 2])))   # inexact second step
+def test_lattice_coords_match_the_fraction_oracle(case):
+    lattice, v = case
+    new, old = lattice.coords(v), _fraction_coords(lattice, v)
+    assert new == old and hash(new) == hash(old)
+    assert lattice.contains(v) == (old is not None
+                                   and all(x.denominator == 1 for x in old))
+
+
 # Integer normal forms -------------------------------------------------------
 
 

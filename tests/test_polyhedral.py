@@ -724,6 +724,112 @@ def test_validation_matches_tight_face_oracle(pair):
             build_complex([a, b])
 
 
+def _oracle_validate_intersections(ordered, dominated, face_keys):
+    """Frozen copy of `_validate_intersections` as it intersected every
+    pair of stratum-maximal cells, before the certificates."""
+    by_sed = {}
+    for c in ordered:
+        if c.key not in dominated:
+            by_sed.setdefault(c.sedentarity, []).append(c)
+    for group in by_sed.values():
+        for a, b in itertools.combinations(group, 2):
+            inter = intersect(a, b)
+            if inter is not None and not (inter.key in face_keys[a.key]
+                                          and inter.key in face_keys[b.key]):
+                raise ComplexAxiomError("not a common face")
+
+
+_VALIDATE = polyhedral._validate_intersections
+
+
+def _validate_both(ordered, dominated, face_keys):
+    """Run the validator and the oracle on one closure; they must agree."""
+    verdicts = []
+    for validate in (_VALIDATE, _oracle_validate_intersections):
+        try:
+            validate(ordered, dominated, face_keys)
+            verdicts.append(True)
+        except ComplexAxiomError:
+            verdicts.append(False)
+    assert verdicts[0] == verdicts[1], ordered
+    if not verdicts[0]:
+        raise ComplexAxiomError("not a common face")
+
+
+def _build_with_both_validators(build):
+    """The complex `build()` makes with every `build_complex` call checked
+    by both validators, or None when one raises ComplexAxiomError."""
+    with mock.patch.object(polyhedral, "_validate_intersections",
+                           _validate_both):
+        try:
+            return build()
+        except ComplexAxiomError:
+            return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_cell_pairs(), _non_face_pairs()),
+       st.sets(st.integers(0, 1)))
+def test_certificates_match_the_intersecting_validator(pair, tropical):
+    # Tropical coordinates put stratum pieces into the face sets.
+    a, b = pair
+    assume(a.key != b.key)
+    _build_with_both_validators(lambda: build_complex([a, b], tropical))
+
+
+@pytest.mark.parametrize("name", sorted(_BUILD_CASES))
+def test_certificates_accept_the_build_cases(name):
+    assert _build_with_both_validators(_BUILD_CASES[name]) is not None
+
+
+def _quadrant(apex):
+    return Polyhedron(2, [apex], [(-1, 0), (0, 1)])
+
+
+# Cells meeting outside a common face, where a certificate nearly applies.
+_BAD_OVERLAPS = {
+    # b inside a with no common face of their sedentarity, but one common
+    # stratum piece {-inf} x [0, oo): it is no intersection of a and b.
+    "shared-piece": lambda: build_complex(
+        [_quadrant((0, 0)), _quadrant((-1, 0))], tropical_coords=[0]),
+    # b touches a at an interior point of a: no strict separation.
+    "touching": lambda: build_complex(
+        [Polyhedron(2, [(0, 0), (2, 0)]), Polyhedron(2, [(1, 0), (1, 1)])]),
+    # A triangle on an edge of a square, inside it; the square's bottom
+    # offset is -2, so a test against 0 instead would pass.
+    "edge-inside": lambda: build_complex(
+        [Polyhedron(2, [(0, -2), (2, -2), (0, 0), (2, 0)]),
+         Polyhedron(2, [(0, -2), (2, -2), (1, -1)])]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_OVERLAPS))
+def test_certificates_reject_bad_overlaps(name):
+    assert _build_with_both_validators(_BAD_OVERLAPS[name]) is None
+
+
+def test_certified_pairs_skip_intersect(monkeypatch):
+    calls = []
+    real = polyhedral.intersect
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(polyhedral, "intersect", counting)
+    for build in (lambda: bergman_fan(uniform_matroid(3, 4)),
+                  lambda: bergman_fan(uniform_matroid(2, 5)),
+                  lambda: build_complex([Polyhedron(1, [(0,), (1,)]),
+                                         Polyhedron(1, [(2,), (3,)])])):
+        build()
+        assert calls == []
+    # Crossing segments: no half-space separates them, so they fall back.
+    with pytest.raises(ComplexAxiomError):
+        build_complex([Polyhedron(2, [(0, 0), (2, 2)]),
+                       Polyhedron(2, [(0, 2), (2, 0)])])
+    assert len(calls) == 1
+
+
 def _oracle_sign(c, t, s):
     """Incidence sign with the outward side from minus the primitive
     normal of tau in sigma, as before relative-interior points."""
