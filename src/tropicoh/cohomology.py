@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .chains import betti_numbers, compose_is_zero
-from .errors import BalancingRequiredError, PurityError, ValidationError
+from .errors import (BalancingRequiredError, DimensionError, PurityError,
+                     ValidationError)
 from .linalg import (
     Mat,
     Subspace,
@@ -25,7 +25,6 @@ from .linalg import (
     subspace_sum,
     vdot,
     vec,
-    wedge_power,
     wedge_vector,
 )
 from .polyhedral import PolyhedralComplex, is_balanced
@@ -138,29 +137,25 @@ class CellularSheafDatum:
 # -- multi-tangent spaces on a geometric complex -------------------------------
 
 
-@lru_cache(maxsize=None)
-def _wedge_power(space: Subspace, p: int) -> Subspace:
-    # Subspaces hash and compare by (ambient_dim, basis).
-    return wedge_power(space, p)
-
-
 def multitangent_space(c: PolyhedralComplex, cell_index: int, p: int
                        ) -> Subspace:
     """F_p(sigma): sum of p-th wedge powers of same-sedentarity coface
-    tangents, in lexicographic wedge coordinates on the ambient space."""
+    tangents, in lexicographic wedge coordinates on the ambient space;
+    tangent spaces grow along covers, so the cofaces maximal in sigma's
+    stratum span it."""
     cache = c._multitangent_cache
     got = cache.get((cell_index, p))
     if got is not None:
         return got
-    sigma = c.cells[cell_index]
-    ambient = math.comb(c.ambient_dim, p)
-    pieces = []
-    for j in c.cofaces(cell_index):
-        tau = c.cells[j]
-        if tau.sedentarity != sigma.sedentarity:
-            continue
-        pieces.append(_wedge_power(tau.tangent, p))
-    out = Subspace(ambient, ()) if not pieces else subspace_sum(pieces)
+    if p < 0:
+        raise DimensionError("negative wedge degree")
+    cells = c.cells
+    sed = cells[cell_index].sedentarity
+    pieces = [cells[j].wedge_powers[p]
+              for j in c.cofaces(cell_index) & c.stratum_maximal
+              if cells[j].sedentarity == sed and p <= cells[j].dim]
+    out = (subspace_sum(pieces) if pieces
+           else Subspace(math.comb(c.ambient_dim, p), ()))
     cache[(cell_index, p)] = out
     return out
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import CodimensionError, DimensionError
 
@@ -565,7 +564,6 @@ def lattice_quotient_primitive(z_sigma: Lattice, z_tau: Lattice, interior_witnes
 # Wedge powers with the shared lexicographic index convention.
 
 
-@lru_cache(maxsize=None)
 def p_subsets(m: int, p: int) -> tuple[tuple[int, ...], ...]:
     """All p-subsets of range(m) in lexicographic order."""
     return tuple(itertools.combinations(range(m), p))

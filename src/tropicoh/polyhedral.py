@@ -31,6 +31,7 @@ from .linalg import (
     vec,
     vscale,
     vsub,
+    wedge_power,
     wedge_vector,
     zero_vec,
 )
@@ -131,6 +132,12 @@ class Polyhedron:
         dirs = ([vsub(v, v0) for v in self.vertices[1:]]
                 + [vec(r) for r in self.rays])
         return Subspace(self.ambient_dim, dirs)
+
+    @cached_property
+    def wedge_powers(self) -> tuple[Subspace, ...]:
+        """The wedge powers of L(sigma) in degrees 0..dim, in
+        lexicographic wedge coordinates on Q^r."""
+        return tuple(wedge_power(self.tangent, p) for p in range(self.dim + 1))
 
     @cached_property
     def lattice(self) -> Lattice:
@@ -329,7 +336,6 @@ class PolyhedralComplex:
         self.weights = dict(weights)
         self.signs = dict(signs)
         self._index = {c.key: i for i, c in enumerate(self.cells)}
-        self._cofaces_cache = None
         self._multitangent_cache: dict = {}  # (cell index, p) -> Subspace
 
     # -- basic queries -------------------------------------------------------
@@ -354,19 +360,23 @@ class PolyhedralComplex:
 
     def cofaces(self, i: int) -> set[int]:
         """All j with cells[i] a face of cells[j], including i."""
-        if self._cofaces_cache is None:
-            up = {k: set() for k in range(len(self.cells))}
-            for t, s in self.covers:
-                up[t].add(s)
-            letters = sorted(range(len(self.cells)),
-                             key=lambda k: -self.cells[k].dim)
-            for k in letters:
-                extra = set()
-                for j in up[k]:
-                    extra |= up[j]
-                up[k] |= extra
-            self._cofaces_cache = {k: v | {k} for k, v in up.items()}
-        return self._cofaces_cache[i]
+        return self._cofaces[i]
+
+    @cached_property
+    def _cofaces(self) -> list[set[int]]:
+        up = [{k} for k in range(len(self.cells))]
+        # Covers by falling dimension of the coface: up[s] is whole when read.
+        for t, s in sorted(self.covers, key=lambda ts: -self.cells[ts[1]].dim):
+            up[t] |= up[s]
+        return up
+
+    @cached_property
+    def stratum_maximal(self) -> frozenset[int]:
+        """The cells that no cell of their own sedentarity covers."""
+        cells = self.cells
+        return frozenset(range(len(cells))) - {
+            t for t, s in self.covers
+            if cells[t].sedentarity == cells[s].sedentarity}
 
     def weight(self, i: int) -> int:
         return self.weights.get(i, 1)
@@ -644,13 +654,13 @@ def fundamental_cycle_boundary(c: PolyhedralComplex):
 
 
 def star(c: PolyhedralComplex, cell_index: int) -> PolyhedralComplex:
-    """The star fan of a cell, translated to the origin of its stratum."""
+    """The star fan of a cell, translated to the origin of its stratum: one
+    cone per coface that is maximal in the cell's stratum."""
     base = c.cells[cell_index]
-    sed = sorted(base.sedentarity)
     keep = [i for i in range(c.ambient_dim) if i not in base.sedentarity]
     x = base.relint_point()
-    cones = {}
-    for j in c.cofaces(cell_index):
+    maximal = []
+    for j in sorted(c.cofaces(cell_index) & c.stratum_maximal):
         tau = c.cells[j]
         if tau.sedentarity != base.sedentarity:
             continue
@@ -658,9 +668,7 @@ def star(c: PolyhedralComplex, cell_index: int) -> PolyhedralComplex:
         rays = [tuple(r[i] for i in keep) for r in rays]
         rays = [r for r in rays if not is_zero_vec(vec(r))]
         cone = Polyhedron(len(keep), [zero_vec(len(keep))], rays)
-        cones[cone.key] = (cone, c.weight(j), tau.dim)
-    top = max(d for _, _, d in cones.values())
-    maximal = [(p, w) for p, w, d in cones.values() if d == top]
+        maximal.append((cone, c.weight(j)))
     return build_complex(maximal)
 
 
@@ -696,12 +704,8 @@ def restrict_to_stratum(c: PolyhedralComplex, stratum) -> PolyhedralComplex:
              if cell.sedentarity == stratum]
     if not group:
         raise ComplexAxiomError(f"no cells of sedentarity {sorted(stratum)}")
-    # A cell is maximal in its stratum when no cell of the stratum covers it.
-    covered = {t for t, s in c.covers if c.cells[s].sedentarity == stratum}
     maximal = []
-    for i in group:
-        if i in covered:
-            continue
+    for i in sorted(c.stratum_maximal.intersection(group)):
         cell = c.cells[i]
         verts = [tuple(v[k] for k in keep) for v in cell.vertices]
         rays = [tuple(vec(ray)[k] for k in keep) for ray in cell.rays]

@@ -21,20 +21,28 @@ from tropicoh.cohomology import (
     ordinary_cohomology,
     pd_report,
 )
-from tropicoh.errors import BalancingRequiredError, ValidationError
+from tropicoh.errors import (
+    BalancingRequiredError,
+    DimensionError,
+    ValidationError,
+)
 from tropicoh.linalg import (
     Subspace,
     mat,
     mat_transpose,
     p_subsets,
+    subspace_sum,
     vdot,
     vec,
+    wedge_power,
 )
+from tropicoh.matroids import bergman_fan, uniform_matroid
 from tropicoh.polyhedral import (
     Polyhedron,
     build_complex,
     closure_in,
     product,
+    restrict_to_stratum,
 )
 
 F = Fraction
@@ -105,6 +113,45 @@ def test_multitangent_axes_vertex():
     v = axes.cells_of_dim(0)[0]
     assert multitangent_space(axes, v, 1).dim == 2
     assert multitangent_space(axes, v, 2).dim == 0
+
+
+def test_multitangent_negative_degree_raises():
+    line = tropical_line()
+    for i in range(len(line.cells)):
+        with pytest.raises(DimensionError):
+            multitangent_space(line, i, -1)
+
+
+def _oracle_multitangent_space(c, cell_index, p):
+    """Frozen oracle: the sum of the p-th wedge powers of the tangent
+    spaces of every same-sedentarity coface, found by walking the covers
+    upward, with no memo."""
+    sigma = c.cells[cell_index]
+    found, frontier = {cell_index}, [cell_index]
+    while frontier:
+        k = frontier.pop()
+        for t, s in c.covers:
+            if t == k and s not in found:
+                found.add(s)
+                frontier.append(s)
+    pieces = [wedge_power(c.cells[j].tangent, p) for j in sorted(found)
+              if c.cells[j].sedentarity == sigma.sedentarity]
+    if not pieces:
+        return Subspace(math.comb(c.ambient_dim, p), ())
+    return subspace_sum(pieces)
+
+
+def test_multitangent_spaces_match_the_all_cofaces_oracle(sheaf_corpus):
+    # Summing only the cofaces maximal in the cell's stratum gives the
+    # same subspace, also where a stratum is not pure.
+    not_pure = build_complex([(Polyhedron(2, [(0, 0)], [(1, 0), (0, 1)]), 1),
+                              (Polyhedron(2, [(0, 0)], [(-1, 0)]), 1)])
+    closed = closure_in(bergman_fan(uniform_matroid(3, 4)), [2])
+    for c in sheaf_corpus + [not_pure, restrict_to_stratum(closed, {2})]:
+        for p in range(c.n + 2):
+            for i in range(len(c.cells)):
+                assert multitangent_space(c, i, p) == \
+                    _oracle_multitangent_space(c, i, p), (c, i, p)
 
 
 def test_inclusion_map_vertex_into_ray():

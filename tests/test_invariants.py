@@ -134,6 +134,19 @@ def test_polyhedral_memo_is_the_interned_cell():
     assert not hasattr(tropical_line(), "orientations")
 
 
+def test_one_lru_cache_in_the_package():
+    # The interned cell is the package's one lru_cache; every other memo
+    # lives on the cell or the complex it belongs to.
+    helpers = []
+    for info in pkgutil.iter_modules(tropicoh.__path__):
+        module = importlib.import_module(f"tropicoh.{info.name}")
+        helpers += [f"{info.name}.{name}"
+                    for name, value in vars(module).items()
+                    if hasattr(value, "cache_info")
+                    and value.__module__ == module.__name__]
+    assert helpers == ["polyhedral._interned"]
+
+
 def _unused_imports(path):
     """The names a module imports and never reads, with their lines."""
     tree = ast.parse(path.read_text())

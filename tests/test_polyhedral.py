@@ -310,6 +310,16 @@ def test_star_of_sedentary_vertex():
     assert st.cells[0].dim == 0
 
 
+def test_star_keeps_maximal_cofaces_of_every_dimension():
+    # The cone on e1, e2 and the ray -e1 at the origin: a complex that is
+    # not pure, whose star at the origin is the complex itself.
+    c = build_complex([(Polyhedron(2, [(0, 0)], [(1, 0), (0, 1)]), 1),
+                       (Polyhedron(2, [(0, 0)], [(-1, 0)]), 1)])
+    st = star(c, c.cells_of_dim(0)[0])
+    assert sorted(cell.dim for cell in st.cells) == [0, 1, 1, 1, 2]
+    assert st.same_weighted(c)
+
+
 def test_product_point_with_t1():
     pt = build_complex([(Polyhedron(0, [()]), 1)])
     c = product(pt, 1, tropical=True)
