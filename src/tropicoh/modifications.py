@@ -20,11 +20,14 @@ from .errors import (
     IntegralityError,
     ModificationError,
     NotAModificationError,
+    PurityError,
 )
 from .linalg import (
     Lattice,
     Subspace,
+    clear_denominators,
     det,
+    idot,
     is_zero_vec,
     mat,
     unit_vec,
@@ -325,8 +328,7 @@ def project_modification(v: PolyhedralComplex, coordinate: int
         idx = _projection_index(cell, shadow, i)
         w_facets.append((shadow, weight * idx, cell))
     for (a, _, _), (b, _, _) in itertools.combinations(w_facets, 2):
-        common = intersect(a, b)
-        if common is not None and common.dim == a.dim:
+        if _full_overlap(a, b, a.dim):
             raise NotAModificationError(
                 "two facets project onto a common region: fibers are "
                 "disconnected")
@@ -385,16 +387,46 @@ def _graph_functional(tangent, i):
 # -- weighted support comparison ---------------------------------------------------
 
 
+def _full_overlap(a: Polyhedron, b: Polyhedron, n: int) -> bool:
+    """Whether cells a and b, each of dimension at most n, meet in
+    dimension n.
+
+    Exact certificates settle most pairs without building a cell: cells
+    of dimension n overlap in dimension n only if they share their affine
+    hull (the canonical equations `hrep[0]`), and do so when one contains
+    the other.  An inequality c.x >= beta of one cell with c.x <= beta on
+    the other (every vertex, and c.r <= 0 on every ray) puts the overlap
+    in the hyperplane c.x = beta, which cuts the common hull properly as
+    the inequality is a facet.  Only the pairs no certificate settles are
+    intersected.
+    """
+    if (a.dim < n or b.dim < n or a.sedentarity != b.sedentarity
+            or a.hrep[0] != b.hrep[0]):
+        return False
+    if a.contains_polyhedron(b) or b.contains_polyhedron(a):
+        return True
+    for p, q in ((a, b), (b, a)):
+        points = [clear_denominators(v) for v in q.vertices]
+        for c, beta in p.hrep[1]:
+            if (all(idot(c, r) <= 0 for r in q.rays)
+                    and all(idot(c, ints) <= beta * den
+                            for ints, den in points)):
+                return False
+    common = intersect(a, b)
+    return common is not None and common.dim >= n
+
+
 def _subtract(regions, piece):
     """Closed full-dimensional leftovers of regions minus piece."""
     out = []
     for region in regions:
         n = region.dim
-        current = region
-        inter = intersect(region, piece)
-        if inter is None or inter.dim < n:
+        if piece.contains_polyhedron(region):
+            continue
+        if not _full_overlap(region, piece, n):
             out.append(region)
             continue
+        current = region
         for a, b in piece.hrep[1]:
             flipped = _halfspace_cut(current, vscale(-1, vec(a)), -b)
             if flipped is not None and flipped.dim == n:
@@ -415,10 +447,12 @@ def weighted_supports_equal(c1: PolyhedralComplex, c2: PolyhedralComplex
                             ) -> bool:
     """Equality of weighted complexes up to common refinement.
 
-    Mobile facets only: supports must cover each other exactly (checked by
-    polyhedral subtraction) and weights must agree on every full-
-    dimensional overlap.
+    Both complexes must be pure.  Mobile facets only: supports must cover
+    each other exactly (checked by polyhedral subtraction) and weights
+    must agree on every full-dimensional overlap (`_full_overlap`).
     """
+    if not (c1.is_pure() and c2.is_pure()):
+        raise PurityError("comparing weighted supports needs pure complexes")
     if c1.ambient_dim != c2.ambient_dim or c1.n != c2.n:
         return False
     n = c1.n
@@ -430,8 +464,7 @@ def weighted_supports_equal(c1: PolyhedralComplex, c2: PolyhedralComplex
         for cell, weight in source:
             leftovers = [cell]
             for other, w2 in target:
-                common = intersect(cell, other)
-                if common is None or common.dim < n:
+                if not _full_overlap(cell, other, n):
                     continue
                 if weight != w2:
                     return False

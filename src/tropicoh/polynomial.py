@@ -58,12 +58,7 @@ class Poly:
         return Poly(self.nvars, {m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return Poly(self.nvars, out)
+        return Poly(self.nvars, _product(self.terms, other.terms))
 
     def partial(self, i: int) -> "Poly":
         out: dict[Monomial, Fraction] = {}
@@ -84,35 +79,49 @@ class Poly:
             total += val
         return total
 
-    def substitute(self, images: list["Poly"]) -> "Poly":
-        """Substitute variable i by images[i] (all in the same new ring)."""
-        if len(images) != self.nvars:
-            raise ValueError("substitute needs one image per variable")
-        nv = images[0].nvars if images else 0
-        result = Poly(nv, {})
-        for m, c in self.terms.items():
-            term = Poly.constant(nv, c)
-            for img, e in zip(images, m):
-                for _ in range(e):
-                    term = term * img
-            result = result + term
-        return result
-
     def compose_affine(self, linear_rows, constants) -> "Poly":
         """Precompose with the affine map y -> linear_rows @ y + constants.
 
         `linear_rows` has one row per original variable; the result is a
-        polynomial in the map's source variables.
+        polynomial in the map's source variables.  The expansion runs in
+        integers: with D the common denominator of the map and L that of
+        the coefficients, image i is the integer form A_i . y + b_i over
+        D, and a term c x^m of degree |m| <= g becomes the integer
+        polynomial (L c) D^(g - |m|) prod_i (A_i . y + b_i)^(m_i), all
+        over L D^g; the powers of each form are built once, one at a time.
         """
-        nv_new = len(linear_rows[0]) if linear_rows else 0
-        images = []
+        nv = len(linear_rows[0]) if linear_rows else 0
+        if not self.terms:
+            return Poly(nv, {})
+        flat, den = clear_denominators(
+            [x for i in range(self.nvars)
+             for x in (*linear_rows[i], constants[i])])
+        coeffs, lcd = clear_denominators(list(self.terms.values()))
+        g = max(sum(m) for m in self.terms)
+        zero = (0,) * nv
+        units = [tuple(1 if k == j else 0 for k in range(nv))
+                 for j in range(nv)]
+        powers = []
         for i in range(self.nvars):
-            t = {(0,) * nv_new: Fraction(constants[i])}
-            for j in range(nv_new):
-                mono = tuple(1 if k == j else 0 for k in range(nv_new))
-                t[mono] = t.get(mono, Fraction(0)) + Fraction(linear_rows[i][j])
-            images.append(Poly(nv_new, t))
-        return self.substitute(images)
+            row = flat[i * (nv + 1):(i + 1) * (nv + 1)]
+            form = {u: a for u, a in zip(units, row) if a}
+            if row[-1]:
+                form[zero] = row[-1]
+            pw = [{zero: 1}]
+            for _ in range(max(m[i] for m in self.terms)):
+                pw.append(_product(pw[-1], form))
+            powers.append(pw)
+        out: dict[Monomial, int] = {}
+        for c, m in zip(coeffs, self.terms):
+            term = {zero: c * den ** (g - sum(m))}
+            for pw, e in zip(powers, m):
+                if e:
+                    term = _product(term, pw[e])
+            for mono, v in term.items():
+                out[mono] = out.get(mono, 0) + v
+        scale = lcd * den ** g
+        return Poly(nv, {mono: Fraction(v, scale)
+                         for mono, v in out.items() if v})
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.nvars == other.nvars
@@ -131,6 +140,17 @@ class Poly:
                             for i, e in enumerate(m) if e)
             bits.append(f"{c}" + (f"*{mono}" if mono else ""))
         return " + ".join(bits)
+
+
+def _product(p: dict, q: dict) -> dict:
+    """The product of two polynomials as monomial -> coefficient maps,
+    in the coefficients' own arithmetic (int stays int)."""
+    out: dict = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return out
 
 
 def integrate_over_standard_simplex(p: Poly) -> Fraction:

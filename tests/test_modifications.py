@@ -1,17 +1,20 @@
 """Tropical modifications: graphs, completion, divisors, projections."""
 
+import sys
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from tropicoh import modifications
 from tropicoh.cohomology import betti_tables
 from tropicoh.errors import (
     DimensionError,
     IntegralityError,
     NotAModificationError,
+    PurityError,
 )
 from tropicoh.linalg import Subspace, solve, unit_vec, vec, zero_vec
 from tropicoh.matroids import (
@@ -21,6 +24,7 @@ from tropicoh.matroids import (
 from tropicoh.modifications import (
     MAX,
     PLFunction,
+    _full_overlap,
     _graph_functional,
     closed_modification,
     complete_modification,
@@ -31,6 +35,8 @@ from tropicoh.modifications import (
 from tropicoh.polyhedral import (
     Polyhedron,
     build_complex,
+    from_hrep,
+    intersect,
     is_balanced,
     restrict_to_stratum,
 )
@@ -135,6 +141,14 @@ def test_project_line_recovers_modification():
 def test_project_plane_is_not_modification():
     with pytest.raises(NotAModificationError):
         project_modification(rn_complex(2), 1)
+
+
+def test_project_two_sheets_has_disconnected_fibers():
+    # Two parallel lines are balanced, and both map onto all of R^1.
+    sheets = build_complex([(Polyhedron(2, [(0, c)], [(1, 0), (-1, 0)]), 1)
+                            for c in (0, 1)])
+    with pytest.raises(NotAModificationError, match="disconnected"):
+        project_modification(sheets, 1)
 
 
 def test_project_coordinate_out_of_range():
@@ -257,3 +271,236 @@ def test_graph_functional_matches_the_solve(case):
                                    [b[i] for b in basis],
                                    tangent.ambient_dim - 1)
     assert _graph_functional(tangent, i) == expected
+
+
+def test_weighted_supports_refuse_an_impure_complex():
+    # The ray -e1 is a maximal cell below the top dimension: no 2-cell can
+    # cover it, so a comparison of c with itself could only answer False.
+    c = build_complex([(Polyhedron(2, [(0, 0)], [(1, 0), (0, 1)]), 1),
+                       (Polyhedron(2, [(0, 0)], [(-1, 0)]), 1)])
+    with pytest.raises(PurityError):
+        weighted_supports_equal(c, c)
+    with pytest.raises(PurityError):
+        weighted_supports_equal(tropical_line(), c)
+
+
+def test_round_trip_of_the_line_builds_no_overlap_cell(monkeypatch):
+    # Equal cells, cells on different lines and the two half-lines of the
+    # source are all settled by certificates.  Only the continuity check
+    # of per-facet data needs a common face itself.
+    graph = complete_modification(r1_complex(), max_0_x()).graph
+    callers = []
+
+    def counted(fn):
+        def wrapper(*args):
+            callers.append((fn.__name__, sys._getframe(1).f_code.co_name))
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(modifications, "intersect", counted(intersect))
+    monkeypatch.setattr(modifications, "from_hrep", counted(from_hrep))
+    line = tropical_line()
+    assert weighted_supports_equal(line, line)
+    assert callers == []
+    project_modification(graph, 1)
+    assert callers
+    assert {caller for _, caller in callers} == {"_check_continuity"}
+
+
+# The overlap test against a frozen copy of the comparison that
+# intersects every pair of facets.
+
+
+def _oracle_halfspace_cut(region, a, b):
+    return from_hrep(region.ambient_dim, region.hrep[0],
+                     region.hrep[1] + ((a, b),), region.sedentarity)
+
+
+def _oracle_subtract(regions, piece):
+    out = []
+    for region in regions:
+        n = region.dim
+        current = region
+        inter = intersect(region, piece)
+        if inter is None or inter.dim < n:
+            out.append(region)
+            continue
+        for a, b in piece.hrep[1]:
+            flipped = _oracle_halfspace_cut(current, tuple(-x for x in a), -b)
+            if flipped is not None and flipped.dim == n:
+                out.append(flipped)
+            current = _oracle_halfspace_cut(current, a, b)
+            if current is None or current.dim < n:
+                break
+    return out
+
+
+def _oracle_weighted_supports_equal(c1, c2):
+    if c1.ambient_dim != c2.ambient_dim or c1.n != c2.n:
+        return False
+    n = c1.n
+    f1 = [(c1.cells[idx], c1.weight(idx))
+          for idx in c1.facet_indices() if not c1.cells[idx].sedentarity]
+    f2 = [(c2.cells[idx], c2.weight(idx))
+          for idx in c2.facet_indices() if not c2.cells[idx].sedentarity]
+    for source, target in ((f1, f2), (f2, f1)):
+        for cell, weight in source:
+            leftovers = [cell]
+            for other, w2 in target:
+                common = intersect(cell, other)
+                if common is None or common.dim < n:
+                    continue
+                if weight != w2:
+                    return False
+                leftovers = _oracle_subtract(leftovers, other)
+                if not leftovers:
+                    break
+            if leftovers:
+                return False
+    return True
+
+
+_HALVES = st.sampled_from([F(k, 2) for k in range(-4, 5)])
+
+
+def _segments_r1(draw):
+    points = sorted(set(draw(st.lists(_HALVES, min_size=2, max_size=4))))
+    assume(len(points) >= 2)
+    cells = [Polyhedron(1, [(a,), (b,)]) for a, b in zip(points, points[1:])]
+    if draw(st.booleans()):
+        cells.append(Polyhedron(1, [(points[-1],)], [(1,)]))
+    if draw(st.booleans()):
+        cells.append(Polyhedron(1, [(points[0],)], [(-1,)]))
+    return cells
+
+
+def _squares_r2(draw):
+    # Unit squares of a grid, each whole or cut along a diagonal; cuts
+    # add no vertex on an edge, so any choice is a complex.
+    corners = draw(st.sets(st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+                           min_size=1, max_size=3))
+    cells = []
+    for i, j in sorted(corners):
+        sq = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
+        cut = draw(st.sampled_from([None, 0, 1]))
+        if cut is None:
+            cells.append(Polyhedron(2, sq))
+        else:
+            a, b = sq[cut], sq[cut + 2]
+            cells += [Polyhedron(2, [a, b, sq[cut + 1]]),
+                      Polyhedron(2, [a, b, sq[(cut + 3) % 4]])]
+    return cells
+
+
+def _edges_r2(draw):
+    # Edges of the unit grid: one-dimensional cells on many lines.
+    starts = draw(st.sets(st.tuples(st.integers(-1, 1), st.integers(-1, 1),
+                                    st.sampled_from([(1, 0), (0, 1)])),
+                          min_size=1, max_size=4))
+    return [Polyhedron(2, [(i, j), (i + d[0], j + d[1])])
+            for i, j, d in sorted(starts)]
+
+
+def _quadrants_r2(draw):
+    # Quadrant cones at the origin, each whole or cut by its diagonal ray.
+    signs = draw(st.sets(st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]),
+                         min_size=1, max_size=3))
+    cells = []
+    for sx, sy in sorted(signs):
+        u, v = (sx, 0), (0, sy)
+        if draw(st.booleans()):
+            cells.append(Polyhedron(2, [(0, 0)], [u, v]))
+        else:
+            cells += [Polyhedron(2, [(0, 0)], [u, (sx, sy)]),
+                      Polyhedron(2, [(0, 0)], [(sx, sy), v])]
+    return cells
+
+
+def _halves(cell, normal, offset):
+    """The cell cut by the hyperplane normal . x = offset.  Cutting every
+    cell of a complex by one hyperplane subdivides it."""
+    eqs, ineqs = cell.hrep
+    out = {}
+    for sign in (1, -1):
+        half = ((tuple(sign * x for x in normal), sign * offset),)
+        piece = from_hrep(cell.ambient_dim, eqs, ineqs + half,
+                          cell.sedentarity)
+        if piece is not None and piece.dim == cell.dim:
+            out.setdefault(piece.key, piece)
+    return list(out.values())
+
+
+def _shifted(cell, t):
+    return Polyhedron(cell.ambient_dim,
+                      [tuple(x + y for x, y in zip(v, t))
+                       for v in cell.vertices], cell.rays)
+
+
+@st.composite
+def _support_pairs(draw):
+    """Two pure complexes of one dimension in R^1 or R^2, the second made
+    from the first by subdividing, shifting, dropping a cell or changing
+    a weight, in any mix."""
+    family = draw(st.sampled_from([_segments_r1, _squares_r2, _edges_r2,
+                                   _quadrants_r2]))
+    cells = family(draw)
+    r = cells[0].ambient_dim
+    weights = [draw(st.sampled_from([1, 1, 2])) for _ in cells]
+    first = list(zip(cells, weights))
+    second = first
+    steps = st.sampled_from(["refine", "refine", "shift", "drop", "drop",
+                             "weight"])
+    for step in draw(st.lists(steps, max_size=3)):
+        if step == "refine":
+            normal = tuple(draw(st.integers(-1, 1)) for _ in range(r))
+            assume(any(normal))
+            offset = draw(_HALVES)
+            second = [(piece, w) for c, w in second
+                      for piece in _halves(c, normal, offset)]
+        elif step == "shift":
+            t = tuple(draw(_HALVES) for _ in range(r))
+            second = [(_shifted(c, t), w) for c, w in second]
+        elif step == "drop" and len(second) > 1:
+            k = draw(st.integers(0, len(second) - 1))
+            second = second[:k] + second[k + 1:]
+        elif step == "weight":
+            k = draw(st.integers(0, len(second) - 1))
+            c, w = second[k]
+            second = second[:k] + [(c, 3 - w)] + second[k + 1:]
+    return build_complex(first), build_complex(second)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_support_pairs())
+@example((build_complex([(Polyhedron(1, [(0,), (2,)]), 1)]),
+          build_complex([(Polyhedron(1, [(0,), (1,)]), 1)])))
+def test_weighted_supports_equal_matches_intersecting_every_pair(pair):
+    a, b = pair
+    assert weighted_supports_equal(a, b) == \
+        _oracle_weighted_supports_equal(a, b)
+    assert weighted_supports_equal(a, a)
+
+
+@st.composite
+def _overlap_cases(draw):
+    """Two cells of a generated pair, facets half the time and any face
+    otherwise, and an n at least both dimensions."""
+    a, b = draw(_support_pairs())
+
+    def pick(c):
+        facets = [c.cells[i] for i in c.facet_indices()]
+        return draw(st.sampled_from(facets if draw(st.booleans())
+                                    else c.cells))
+
+    x, y = pick(a), pick(b)
+    return x, y, draw(st.integers(max(x.dim, y.dim), a.ambient_dim))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_overlap_cases())
+@example((Polyhedron(1, [(0,), (2,)]), Polyhedron(1, [(1,), (3,)]), 1))
+@example((Polyhedron(2, [(0, 0)]), Polyhedron(2, [(0, 0)]), 1))
+def test_full_overlap_matches_the_intersection(case):
+    x, y, n = case
+    common = intersect(x, y)
+    assert _full_overlap(x, y, n) == (common is not None and common.dim >= n)

@@ -172,3 +172,55 @@ def test_cubature_composes_nothing(monkeypatch):
 def test_integrate_over_simplex_needs_n_plus_one_vertices():
     with pytest.raises(ValueError):
         integrate_over_simplex(x(2, 0), [(0, 0), (1, 0)])
+
+
+def _substituting_composition(p: Poly, linear_rows, constants) -> Poly:
+    """Frozen copy of `Poly.compose_affine` as it substituted each image
+    by repeated `Poly` multiplication in Fraction."""
+    nv = len(linear_rows[0]) if linear_rows else 0
+    images = []
+    for i in range(p.nvars):
+        t = {(0,) * nv: Fraction(constants[i])}
+        for j in range(nv):
+            mono = tuple(1 if k == j else 0 for k in range(nv))
+            t[mono] = t.get(mono, Fraction(0)) + Fraction(linear_rows[i][j])
+        images.append(Poly(nv, t))
+    result = Poly(nv, {})
+    for m, c in p.terms.items():
+        term = Poly.constant(nv, c)
+        for img, e in zip(images, m):
+            for _ in range(e):
+                term = term * img
+        result = result + term
+    return result
+
+
+@st.composite
+def _polys_and_maps(draw):
+    """A polynomial in n <= 3 variables of degree <= 4 and an affine map
+    from Q^s, s <= 3, with rational rows and constants."""
+    n = draw(st.integers(0, 3))
+    s = draw(st.integers(0, 3))
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        mono = [0] * n
+        for _ in range(draw(st.integers(0, 4))):
+            if n:
+                mono[draw(st.integers(0, n - 1))] += 1
+        terms[tuple(mono)] = draw(_rationals)
+    rows = [[draw(_rationals) for _ in range(s)] for _ in range(n)]
+    consts = [draw(_rationals) for _ in range(n)]
+    return Poly(n, terms), rows, consts
+
+
+@settings(max_examples=300, deadline=None)
+@given(_polys_and_maps())
+@example((Poly(2, {}), [[1, F(1, 2)], [0, 3]], [F(2, 3), 0]))
+@example((Poly.constant(2, F(-7, 4)), [[1], [2]], [0, F(1, 5)]))
+@example((Poly.constant(0, F(5, 3)), [], []))
+@example((Poly(2, {(2, 1): F(3, 2), (0, 1): -1}), [[], []], [F(1, 2), 3]))
+@example((Poly(2, {(3, 0): 1, (0, 2): F(1, 3)}), [[0, 0], [0, 0]], [0, 0]))
+def test_compose_affine_matches_substitution(case):
+    p, rows, consts = case
+    assert p.compose_affine(rows, consts) == \
+        _substituting_composition(p, rows, consts)
