@@ -13,7 +13,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .convex import satisfies
 from .errors import (
     BalancingRequiredError,
     DimensionError,
@@ -25,9 +24,7 @@ from .errors import (
 from .linalg import (
     Lattice,
     Subspace,
-    clear_denominators,
     det,
-    idot,
     is_zero_vec,
     mat,
     unit_vec,
@@ -145,6 +142,10 @@ def _check_continuity(pieces, ambient):
     """Affine data of adjacent pieces must agree on shared faces."""
     for (a, _, lin_a, c_a), (b, _, lin_b, c_b) in \
             itertools.combinations(pieces, 2):
+        # Pieces that a strict inequality of either one separates.
+        if any(q.side(c, beta)[1] < 0
+               for p, q in ((a, b), (b, a)) for c, beta in p.hrep[1]):
+            continue
         common = intersect(a, b)
         if common is None:
             continue
@@ -311,8 +312,9 @@ def project_modification(v: PolyhedralComplex, coordinate: int
         cell = v.cells[f]
         weight = v.weight(f)
         if cell.tangent.contains(e_i):
-            rec = cell.recession_hrep
-            if satisfies(e_i, *rec) and satisfies(vscale(-1, e_i), *rec):
+            # The equations vanish on e_i; so e_i and -e_i are recession
+            # directions iff every inequality does too.
+            if not any(c[i] for c, _ in cell.hrep[1]):
                 raise NotAModificationError(
                     f"fibers of {cell} are full lines")
             verticals.append((cell, weight))
@@ -405,13 +407,9 @@ def _full_overlap(a: Polyhedron, b: Polyhedron, n: int) -> bool:
         return False
     if a.contains_polyhedron(b) or b.contains_polyhedron(a):
         return True
-    for p, q in ((a, b), (b, a)):
-        points = [clear_denominators(v) for v in q.vertices]
-        for c, beta in p.hrep[1]:
-            if (all(idot(c, r) <= 0 for r in q.rays)
-                    and all(idot(c, ints) <= beta * den
-                            for ints, den in points)):
-                return False
+    if any(q.side(c, beta)[1] <= 0
+           for p, q in ((a, b), (b, a)) for c, beta in p.hrep[1]):
+        return False
     common = intersect(a, b)
     return common is not None and common.dim >= n
 

@@ -70,22 +70,17 @@ class Polyhedron:
     """
 
     def __new__(cls, ambient_dim: int, vertices, rays=(), sedentarity=()):
-        sed = set(sedentarity)
-        verts = []
-        for v in vertices:
-            row = list(v)
-            if len(row) != ambient_dim:
-                raise ValueError("vertex of wrong length")
-            for i, x in enumerate(row):
-                if x is NEG_INF:
-                    sed.add(i)
-                    row[i] = Fraction(0)
-                else:
-                    row[i] = Fraction(x)
-            verts.append(tuple(row))
-        if not verts:
+        rows = [tuple(v) for v in vertices]
+        if any(len(v) != ambient_dim for v in rows):
+            raise ValueError("vertex of wrong length")
+        if not rows:
             raise ValueError("polyhedron needs at least one vertex")
-        sed = frozenset(sed)
+        at_infinity = {sedentarity_of(v) for v in rows}
+        if len(at_infinity) > 1:
+            raise ValueError("vertices are -inf in different coordinates")
+        sed = frozenset(sedentarity).union(*at_infinity)
+        verts = [tuple(Fraction(0) if x is NEG_INF else Fraction(x)
+                       for x in v) for v in rows]
         for v in verts:
             for i in sed:
                 if v[i] != 0:
@@ -171,13 +166,41 @@ class Polyhedron:
         attains its minimum at one."""
         out = []
         for a, b in self.hrep[1]:
-            verts = tuple(v for v in self.vertices
-                          if convex.satisfies(v, [(a, b)], ()))
+            verts = tuple(v for v, (ints, den) in zip(self.vertices,
+                                                      self._cleared)
+                          if idot(a, ints) == b * den)
             rays = tuple(r for r in self.rays if idot(a, r) == 0)
             # Sub-tuples of a sorted signature are sorted signatures.
             out.append(_interned(self.ambient_dim, self.sedentarity,
                                  verts, rays))
         return tuple(out)
+
+    @cached_property
+    def _cleared(self) -> tuple[tuple[list[int], int], ...]:
+        """Each vertex v as (d*v, d), d its least common denominator."""
+        return tuple(clear_denominators(v) for v in self.vertices)
+
+    def side(self, a, b) -> tuple[int, int]:
+        """The signs (-1, 0 or 1) of the least and the greatest value of
+        a.x - b on the cell, compared in integers.  A ray r with a.r < 0
+        makes the least -1 and one with a.r > 0 the greatest 1.  So the
+        cell lies in a.x <= b iff the greatest is <= 0, in a.x >= b iff the
+        least is >= 0, and on a.x = b iff both are 0."""
+        num, den = b.numerator, b.denominator
+        lo, hi = 1, -1
+        for r in self.rays:
+            s = idot(a, r)
+            if s < 0:
+                lo = -1
+            elif s > 0:
+                hi = 1
+        for ints, d in self._cleared:
+            if lo < 0 < hi:
+                break
+            s = idot(a, ints) * den - num * d
+            s = (s > 0) - (s < 0)
+            lo, hi = min(lo, s), max(hi, s)
+        return lo, hi
 
     def sort_key(self):
         return (self.dim, tuple(sorted(self.sedentarity)),
@@ -201,15 +224,8 @@ class Polyhedron:
         if other.sedentarity != self.sedentarity:
             return False
         eqs, ineqs = self.hrep
-        for v in other.vertices:
-            if not convex.satisfies(v, eqs, ineqs):
-                return False
-        for r in other.rays:
-            if any(idot(a, r) != 0 for a, _ in eqs):
-                return False
-            if any(idot(a, r) < 0 for a, _ in ineqs):
-                return False
-        return True
+        return (all(other.side(a, b) == (0, 0) for a, b in eqs)
+                and all(other.side(a, b)[0] >= 0 for a, b in ineqs))
 
     def is_bounded(self) -> bool:
         return not self.rays
@@ -551,34 +567,17 @@ def _certified(a: Polyhedron, b: Polyhedron, face) -> bool:
     n.x >= beta on a with equality exactly on F.  If n.x <= beta on b, then
     a ∩ b lies in F, which lies in both.  Without a common face, a strict
     n.x < beta on b, for n.x >= beta an inequality of a or either side of
-    an equation, makes a ∩ b empty.  b lies in a half-space when its
-    vertices do and its rays point away from the boundary or along it.
+    an equation, makes a ∩ b empty.
     """
     eqs, ineqs = a.hrep
     if face is not None:
-        corners = [clear_denominators(v) for v in face.vertices]
-        n, beta = [0] * a.ambient_dim, 0
-        for alpha, off in ineqs:
-            if (all(idot(alpha, ints) == off * den for ints, den in corners)
-                    and all(idot(alpha, r) == 0 for r in face.rays)):
-                n = [x + y for x, y in zip(n, alpha)]
-                beta += off
-        halfspaces = [(n, beta)]
-    else:
-        halfspaces = (list(ineqs) + list(eqs)
-                      + [(tuple(-x for x in alpha), -off)
-                         for alpha, off in eqs])
-    points = [clear_denominators(v) for v in b.vertices]
-    for n, beta in halfspaces:
-        if any(idot(n, r) > 0 for r in b.rays):
-            continue
-        if face is not None:
-            inside = all(idot(n, ints) <= beta * den for ints, den in points)
-        else:
-            inside = all(idot(n, ints) < beta * den for ints, den in points)
-        if inside:
-            return True
-    return False
+        tight = [(alpha, off) for alpha, off in ineqs
+                 if face.side(alpha, off) == (0, 0)]
+        n = [sum(alpha[i] for alpha, _ in tight)
+             for i in range(a.ambient_dim)]
+        return b.side(n, sum(off for _, off in tight))[1] <= 0
+    return (any(b.side(alpha, off)[1] < 0 for alpha, off in ineqs + eqs)
+            or any(b.side(alpha, off)[0] > 0 for alpha, off in eqs))
 
 
 # -- balancing ----------------------------------------------------------------

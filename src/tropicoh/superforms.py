@@ -15,9 +15,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .convex import polyhedron_facets
 from .errors import DegreeError, DimensionError, UnboundedDomainError
-from .linalg import Subspace, det, sort_with_sign, vdot, vec, vsub
+from .linalg import det, sort_with_sign, vec, vsub
 from .polynomial import Poly, integrate_over_simplex
 from .polyhedral import (
     Polyhedron,
@@ -239,22 +238,17 @@ def triangulate_polytope(vertices, ambient_dim: int):
     Returns tuples of d+1 vertices each, where d is the polytope dimension;
     the union is the polytope and interiors are disjoint.
     """
-    verts = sorted({vec(v) for v in vertices})
-    base = verts[0]
-    span = [vsub(v, base) for v in verts[1:]]
-    d = Subspace(ambient_dim, span).dim
-    if d == 0:
+    cell = Polyhedron(ambient_dim, vertices)
+    base = cell.vertices[0]
+    if cell.dim == 0:
         return [(base,)]
-    if len(verts) == d + 1:
-        return [tuple(verts)]
-    _, ineqs = polyhedron_facets(verts, [], ambient_dim)
+    if len(cell.vertices) == cell.dim + 1:
+        return [cell.vertices]
     out = []
-    for a, b in ineqs:
-        a = vec(a)
-        if vdot(a, base) == b:
+    for facet in cell.facets:
+        if base in facet.vertices:
             continue  # facets through the pulled vertex are skipped
-        tight = [v for v in verts if vdot(a, v) == b]
-        for s in triangulate_polytope(tight, ambient_dim):
+        for s in triangulate_polytope(facet.vertices, ambient_dim):
             out.append((base,) + s)
     return out
 

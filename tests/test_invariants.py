@@ -199,6 +199,35 @@ def test_one_vrep_to_hrep_path():
             assert "cone_facets" not in path.read_text(), path.name
 
 
+def test_facets_enumerated_only_for_the_cell_hrep():
+    # Outside the convex kernel, polyhedron_facets runs only in
+    # Polyhedron.hrep; triangulation and everything else read the cell.
+    package = Path(tropicoh.__file__).parent
+    allowed = inspect.getsource(Polyhedron.hrep.func).count(
+        "polyhedron_facets")
+    assert allowed == 1
+    for path in sorted(package.glob("*.py")):
+        if path.name == "convex.py":
+            continue
+        uses = path.read_text().count("polyhedron_facets")
+        expected = allowed if path.name == "polyhedral.py" else 0
+        assert uses == expected, f"{path.name} calls polyhedron_facets"
+
+
+def test_cell_comparisons_read_the_cleared_vertices():
+    # Vertices are cleared of denominators once per cell, in _cleared;
+    # half-space questions go through Polyhedron.side.
+    package = Path(tropicoh.__file__).parent
+    allowed = inspect.getsource(Polyhedron._cleared.func).count(
+        "clear_denominators(")
+    assert allowed == 1
+    polyhedral_uses = (package / "polyhedral.py").read_text().count(
+        "clear_denominators(")
+    assert polyhedral_uses == allowed
+    assert "clear_denominators" not in (
+        package / "modifications.py").read_text()
+
+
 def test_cone_kernel_is_one_double_description():
     # Extreme rays come from the incremental double description, never
     # from enumerating subsets, and facet normals are the dual cone's rays,

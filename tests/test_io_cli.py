@@ -398,6 +398,19 @@ def test_cli_malformed_input_is_a_parse_error(tmp_path, capsys, data,
     assert json.loads(out)["error"] == "parse"
 
 
+def test_cli_vertices_at_infinity_in_different_coordinates(tmp_path, capsys):
+    # The finite vertex's 0 used to be read as -inf, and the segment
+    # validated as a cell of sedentarity {0}.
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({
+        "ambient_dim": 2, "tropical_coords": [1],
+        "maximal_cells": [{"vertices": [["-inf", "0"], ["0", "1"]],
+                           "rays": []}]}))
+    code, out = run_cli(["validate", str(path)], capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == "parse"
+
+
 def test_superform_negative_ambient_dim_is_a_parse_error():
     # It used to load as a form on R^-1.
     with pytest.raises(ParseError, match="negative ambient dimension"):

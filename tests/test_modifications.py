@@ -13,6 +13,7 @@ from tropicoh.cohomology import betti_tables
 from tropicoh.errors import (
     DimensionError,
     IntegralityError,
+    ModificationError,
     NotAModificationError,
     PurityError,
 )
@@ -305,6 +306,31 @@ def test_round_trip_of_the_line_builds_no_overlap_cell(monkeypatch):
     project_modification(graph, 1)
     assert callers
     assert {caller for _, caller in callers} == {"_check_continuity"}
+
+
+def test_continuity_check_skips_separated_pieces(monkeypatch):
+    # Per-facet data on two disjoint segments: a strict inequality of one
+    # segment fails on the other, so no pair is intersected.
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return intersect(a, b)
+
+    monkeypatch.setattr(modifications, "intersect", counted)
+    left, right = Polyhedron(1, [(-2,), (-1,)]), Polyhedron(1, [(1,), (2,)])
+    apart = build_complex([(left, 1), (right, 1)])
+    f = PLFunction(per_facet={left.key: ((0,), 0), right.key: ((1,), 5)})
+    assert len(f.affine_pieces(apart)) == 2
+    assert calls == []
+    # Segments that share the point 0 are intersected, and a jump there
+    # is still refused.
+    below, above = Polyhedron(1, [(-1,), (0,)]), Polyhedron(1, [(0,), (1,)])
+    touching = build_complex([(below, 1), (above, 1)])
+    jump = PLFunction(per_facet={below.key: ((0,), 0), above.key: ((1,), 1)})
+    with pytest.raises(ModificationError, match="discontinuous"):
+        jump.affine_pieces(touching)
+    assert len(calls) == 1
 
 
 # The overlap test against a frozen copy of the comparison that

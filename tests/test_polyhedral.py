@@ -23,6 +23,7 @@ from tropicoh.modifications import (
 from tropicoh.linalg import (
     Lattice,
     Subspace,
+    clear_denominators,
     det,
     idot,
     is_zero_vec,
@@ -95,6 +96,18 @@ def t1_complex():
 def test_sedentarity_of_point():
     assert sedentarity_of((NEG_INF, F(3), NEG_INF)) == {0, 2}
     assert sedentarity_of((F(1), F(2))) == frozenset()
+
+
+def test_vertices_at_infinity_in_different_coordinates_are_refused():
+    # A finite 0 used to be read as the -inf placeholder of the other
+    # vertex, giving a segment of sedentarity {0}.
+    for verts in ([(NEG_INF, 0), (0, 1)], [(0, 1), (NEG_INF, 0)],
+                  [(NEG_INF, 0), (0, NEG_INF)]):
+        with pytest.raises(ValueError, match="different coordinates"):
+            Polyhedron(2, verts)
+    assert Polyhedron(2, [(NEG_INF, 0), (NEG_INF, 1)]).sedentarity == {0}
+    placeholder = Polyhedron(2, [(0, 0), (0, 1)], sedentarity={0})
+    assert placeholder is Polyhedron(2, [(NEG_INF, 0), (NEG_INF, 1)])
 
 
 def test_vrep_to_hrep_segment():
@@ -1181,3 +1194,147 @@ def test_boundary_integral_reads_facets():
     names = {n.id for n in ast.walk(ast.parse(textwrap.dedent(source)))
              if isinstance(n, ast.Name)}
     assert "faces" not in names
+
+
+# -- half-space tests on the cell --------------------------------------------------
+
+
+def _old_contains_polyhedron(p, other):
+    """The vertex and ray loops that `contains_polyhedron` ran."""
+    if other.sedentarity != p.sedentarity:
+        return False
+    eqs, ineqs = p.hrep
+    for v in other.vertices:
+        if not convex.satisfies(v, eqs, ineqs):
+            return False
+    for r in other.rays:
+        if any(idot(a, r) != 0 for a, _ in eqs):
+            return False
+        if any(idot(a, r) < 0 for a, _ in ineqs):
+            return False
+    return True
+
+
+def _old_halfspace_verdicts(cell, a, b):
+    """Whether the cell lies in a.x <= b, in a.x < b, in a.x >= b and on
+    a.x = b, by `convex.satisfies` on each vertex and `idot` on each ray."""
+    neg = (tuple(-x for x in a), -b)
+    rays = [idot(a, r) for r in cell.rays]
+    return (all(s <= 0 for s in rays)
+            and all(convex.satisfies(v, (), [neg]) for v in cell.vertices),
+            all(s <= 0 for s in rays)
+            and not any(convex.satisfies(v, (), [(a, b)])
+                        for v in cell.vertices),
+            all(s >= 0 for s in rays)
+            and all(convex.satisfies(v, (), [(a, b)]) for v in cell.vertices),
+            all(s == 0 for s in rays)
+            and all(convex.satisfies(v, [(a, b)], ()) for v in cell.vertices))
+
+
+def _old_certified(a, b, face):
+    """`_certified` with its own cleared vertices and ray loops."""
+    eqs, ineqs = a.hrep
+    if face is not None:
+        corners = [clear_denominators(v) for v in face.vertices]
+        n, beta = [0] * a.ambient_dim, 0
+        for alpha, off in ineqs:
+            if (all(idot(alpha, ints) == off * den for ints, den in corners)
+                    and all(idot(alpha, r) == 0 for r in face.rays)):
+                n = [x + y for x, y in zip(n, alpha)]
+                beta += off
+        halfspaces = [(n, beta)]
+    else:
+        halfspaces = (list(ineqs) + list(eqs)
+                      + [(tuple(-x for x in alpha), -off)
+                         for alpha, off in eqs])
+    points = [clear_denominators(v) for v in b.vertices]
+    for n, beta in halfspaces:
+        if any(idot(n, r) > 0 for r in b.rays):
+            continue
+        if face is not None:
+            inside = all(idot(n, ints) <= beta * den for ints, den in points)
+        else:
+            inside = all(idot(n, ints) < beta * den for ints, den in points)
+        if inside:
+            return True
+    return False
+
+
+_rational = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def _rational_cells(draw, dim=None, sed=None):
+    """Cells with rational vertices, rays and +-e_j lineality pairs, maybe
+    sedentary."""
+    if dim is None:
+        dim = draw(st.integers(1, 3))
+    if sed is None:
+        sed = draw(st.sets(st.integers(0, dim - 1), max_size=dim - 1))
+    point = st.lists(_rational, min_size=dim, max_size=dim).map(
+        lambda xs: tuple(F(0) if i in sed else x for i, x in enumerate(xs)))
+    verts = draw(st.lists(point, min_size=1, max_size=4))
+    rays = draw(st.lists(point, max_size=2))
+    mobile = sorted(set(range(dim)) - sed)
+    for j in draw(st.sets(st.sampled_from(mobile), max_size=2)):
+        e = unit_vec(dim, j)
+        rays += [e, vscale(-1, e)]
+    return Polyhedron(dim, verts, rays, sed)
+
+
+@st.composite
+def _cell_and_functional(draw):
+    cell = draw(_rational_cells())
+    a = tuple(draw(st.lists(st.integers(-2, 2), min_size=cell.ambient_dim,
+                            max_size=cell.ambient_dim)))
+    # Offsets that hit a vertex make the weak and strict answers differ.
+    b = draw(st.one_of(_rational, st.sampled_from(
+        [vdot(a, v) for v in cell.vertices])))
+    return cell, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cell_and_functional())
+def test_side_matches_vertex_and_ray_loops(case):
+    cell, a, b = case
+    lo, hi = cell.side(a, b)
+    assert lo in (-1, 0, 1) and hi in (-1, 0, 1) and lo <= hi
+    assert (hi <= 0, hi < 0, lo >= 0, (lo, hi) == (0, 0)) == \
+        _old_halfspace_verdicts(cell, a, b)
+    # The zero functional is the constant -b.
+    zero = (0,) * cell.ambient_dim
+    constant = (b < 0) - (b > 0)
+    assert cell.side(zero, b) == (constant, constant)
+    assert _old_halfspace_verdicts(cell, zero, b) == (
+        constant <= 0, constant < 0, constant >= 0, constant == 0)
+
+
+@st.composite
+def _rational_cell_pairs(draw):
+    """Two cells of one ambient space; the second is often a face or a
+    sub-cell of the first, so that containment holds."""
+    a = draw(_rational_cells())
+    kind = draw(st.sampled_from(["any", "face", "part"]))
+    if kind == "face":
+        b = draw(st.sampled_from(faces(a)))
+    elif kind == "part":
+        verts = draw(st.lists(st.sampled_from(a.vertices), min_size=1))
+        rays = draw(st.lists(st.sampled_from(a.rays), max_size=3)
+                    if a.rays else st.just([]))
+        b = Polyhedron(a.ambient_dim, verts, rays, a.sedentarity)
+    else:
+        same = draw(st.booleans())
+        b = draw(_rational_cells(a.ambient_dim,
+                                 a.sedentarity if same else None))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_cell_pairs())
+def test_containment_and_certificates_match_frozen_loops(pair):
+    a, b = pair
+    for p, q in (pair, pair[::-1]):
+        assert p.contains_polyhedron(q) == _old_contains_polyhedron(p, q)
+        for face in [None] + faces(p):
+            assert polyhedral._certified(p, q, face) == \
+                _old_certified(p, q, face)

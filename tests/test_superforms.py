@@ -14,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tropicoh.errors import DegreeError, DimensionError, UnboundedDomainError
-from tropicoh.linalg import det, mat_mul, mat, vec
+from tropicoh.convex import polyhedron_facets
+from tropicoh.linalg import Subspace, det, mat_mul, mat, vdot, vec, vsub
 from tropicoh.polynomial import Poly
 from tropicoh.polyhedral import Polyhedron, build_complex
 from tropicoh.superforms import (
@@ -381,6 +382,53 @@ def test_triangulate_square():
         [(0, 0), (1, 0), (0, 1), (1, 1)], 2)
     assert len(simplices) == 2
     assert all(len(s) == 3 for s in simplices)
+
+
+def _old_triangulate_polytope(vertices, ambient_dim):
+    """The pulling triangulation over its own facet enumeration."""
+    verts = sorted({vec(v) for v in vertices})
+    base = verts[0]
+    span = [vsub(v, base) for v in verts[1:]]
+    d = Subspace(ambient_dim, span).dim
+    if d == 0:
+        return [(base,)]
+    if len(verts) == d + 1:
+        return [tuple(verts)]
+    _, ineqs = polyhedron_facets(verts, [], ambient_dim)
+    out = []
+    for a, b in ineqs:
+        a = vec(a)
+        if vdot(a, base) == b:
+            continue
+        tight = [v for v in verts if vdot(a, v) == b]
+        for s in _old_triangulate_polytope(tight, ambient_dim):
+            out.append((base,) + s)
+    return out
+
+
+@st.composite
+def _point_sets(draw):
+    """Rational points in dimension 1 to 3, often on a line or a plane."""
+    n = draw(st.integers(1, 3))
+    coord = st.builds(F, st.integers(-3, 3), st.integers(1, 2))
+    point = st.lists(coord, min_size=n, max_size=n).map(tuple)
+    points = draw(st.lists(point, min_size=1, max_size=7))
+    flat = draw(st.sampled_from(["full", "line", "plane"]))
+    if flat == "line":
+        origin, direction = draw(point), draw(point)
+        points = [tuple(o + t * d for o, d in zip(origin, direction))
+                  for t in draw(st.lists(coord, min_size=1, max_size=5))]
+    elif flat == "plane" and n == 3:
+        points = [(x, y, x - 2 * y) for x, y, _ in points]
+    return points, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_point_sets())
+def test_triangulation_matches_its_own_facet_enumeration(case):
+    points, n = case
+    assert triangulate_polytope(points, n) == \
+        _old_triangulate_polytope(points, n)
 
 
 # -- balanced face cancellation ------------------------------------------------------
