@@ -23,7 +23,6 @@ from .cohomology import (
 from .linalg import (
     Lattice,
     Subspace,
-    lattice_quotient_primitive,
     smith_normal_form,
     subspace_sum,
     wedge_power,

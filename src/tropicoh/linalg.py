@@ -12,7 +12,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .errors import CodimensionError, DimensionError
+from .errors import DimensionError
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -509,55 +509,6 @@ class Lattice:
 
     def __repr__(self):
         return f"Lattice(rank {self.rank} in Z^{self.ambient_dim})"
-
-
-def lattice_quotient_primitive(z_sigma: Lattice, z_tau: Lattice, interior_witness) -> Vec:
-    """Primitive generator of Z(sigma)/Z(tau) pointing toward the witness.
-
-    Requires rank(Z_sigma) = rank(Z_tau) + 1 and Z_tau contained in Z_sigma.
-    The result is reduced against the Hermite basis of Z_tau, so it is a
-    canonical representative of the generating class.
-    """
-    if z_sigma.ambient_dim != z_tau.ambient_dim:
-        raise DimensionError("lattice quotient: ambient mismatch")
-    if z_sigma.rank != z_tau.rank + 1:
-        raise CodimensionError(
-            f"rank {z_sigma.rank} over rank {z_tau.rank} is not corank one")
-    # Coordinates of Z_tau in the basis of Z_sigma: integer exactly when Z_tau
-    # is a sublattice, and then the free direction of the Smith form of that
-    # k x (k+1) matrix lifts to the quotient generator.
-    m = [z_sigma.coords(row) for row in z_tau.basis]
-    if any(c is None or any(x.denominator != 1 for x in c) for c in m):
-        raise CodimensionError("Z_tau is not a sublattice of Z_sigma")
-    k = z_tau.rank
-    # With U m V = D, the rows of V^{-1} are a basis of Z_sigma whose first
-    # k rows span Z_tau over Q; row k is the generator, and column k of V
-    # reads its coefficient off coordinates in the basis of Z_sigma.
-    if k == 0:
-        v = ((1,),)
-    else:
-        _, _, v = smith_normal_form([[int(x) for x in c] for c in m])
-    # Row k of V^{-1} = adj(V) / det V is the cofactors of column k,
-    # (-1)^(j+k) det(V without row j and column k), over det V = +-1;
-    # det V is the expansion of those cofactors along column k.
-    cofactors = [(-1) ** (j + k)
-                 * det(tuple(row[:k] for i, row in enumerate(v) if i != j))
-                 for j in range(k + 1)]
-    unit = sum(c * row[k] for c, row in zip(cofactors, v))
-    nu = zero_vec(z_sigma.ambient_dim)
-    for c, b in zip(cofactors, z_sigma.basis):
-        nu = vadd(nu, vscale(unit * c, b))
-    # Orient toward the witness: the witness class in span(sigma)/span(tau)
-    # must be a positive multiple of nu's class.
-    w = z_sigma.coords(interior_witness)
-    if w is None:
-        raise CodimensionError("witness does not lie in span(Z_sigma)")
-    a = sum((c * row[k] for c, row in zip(w, v)), Fraction(0))
-    if a == 0:
-        raise CodimensionError("witness lies in span(Z_tau); cannot orient")
-    if a < 0:
-        nu = vscale(-1, nu)
-    return z_tau.reduce(nu)
 
 
 # ---------------------------------------------------------------------------

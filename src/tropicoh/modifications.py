@@ -104,7 +104,7 @@ class PLFunction:
                 lin, const = self.per_facet[cell.key]
                 _check_integral_slopes(cell, lin)
                 out.append((cell, w.weight(i), lin, const))
-            _check_continuity(out, w.ambient_dim)
+            _check_continuity(out)
             return out
         for i in w.facet_indices():
             cell = w.cells[i]
@@ -138,7 +138,7 @@ def _check_integral_slopes(cell: Polyhedron, lin):
                 f"slope {s} along a lattice direction of {cell}")
 
 
-def _check_continuity(pieces, ambient):
+def _check_continuity(pieces):
     """Affine data of adjacent pieces must agree on shared faces."""
     for (a, _, lin_a, c_a), (b, _, lin_b, c_b) in \
             itertools.combinations(pieces, 2):

@@ -14,16 +14,16 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import convex
-from .errors import ComplexAxiomError, PurityError
+from .errors import CodimensionError, ComplexAxiomError, PurityError
 from .linalg import (
     Lattice,
     Subspace,
     Vec,
+    _xgcd,
     clear_denominators,
     det,
     idot,
     is_zero_vec,
-    lattice_quotient_primitive,
     primitive,
     unit_vec,
     vadd,
@@ -456,9 +456,29 @@ def _incidence_sign(tau: Polyhedron, sigma: Polyhedron) -> int:
 
 
 def lattice_quotient(sigma: Polyhedron, tau: Polyhedron) -> Vec:
-    """Primitive normal of tau in sigma pointing into sigma."""
-    witness = vsub(sigma.relint_point(), tau.relint_point())
-    return vec(lattice_quotient_primitive(sigma.lattice, tau.lattice, witness))
+    """Primitive normal of the facet tau in sigma pointing into sigma.
+
+    tau counts as a facet when it lies in sigma, one dimension down,
+    where an inequality a.x >= b of sigma is tight.  Then Z(tau) is the
+    kernel of a on Z(sigma), so a vector nu of Z(sigma) on which a takes
+    its least positive value generates Z(sigma)/Z(tau) and points inward.
+    Extended gcds over the Hermite basis of Z(sigma) build it, and it is
+    returned reduced against Z(tau), a canonical representative of its
+    class.  Raises CodimensionError for any other tau, such as a face of
+    another sedentarity.
+    """
+    a = None
+    if tau.dim == sigma.dim - 1 and sigma.contains_polyhedron(tau):
+        # Tight on tau: the greatest value of a.x - b there is zero.
+        a = next((a for a, b in sigma.hrep[1] if tau.side(a, b)[1] == 0),
+                 None)
+    if a is None:
+        raise CodimensionError(f"{tau} is not a facet of {sigma}")
+    g, nu = 0, [0] * sigma.ambient_dim
+    for row in sigma.lattice.basis:
+        g, x, y = _xgcd(g, idot(a, row))
+        nu = [x * p + y * q for p, q in zip(nu, row)]
+    return tau.lattice.reduce(nu)
 
 
 def build_complex(maximal_cells, tropical_coords=()) -> PolyhedralComplex:

@@ -279,14 +279,16 @@ def integrate_cell(alpha: PolySuperform, cell: Polyhedron) -> Fraction:
         return Fraction(0)
     # Interleaved-vs-sorted normalization of the top form.
     f_alpha = g.scale((-1) ** (n * (n - 1) // 2))
-    # Parameter-domain vertices: coordinates of vertex - v0 in the basis.
-    param_verts = [cell.lattice.coords(vsub(v, v0)) for v in cell.vertices]
+    # Triangulate the cell itself, so that only its own faces are
+    # interned, and integrate over each simplex in parameters: the
+    # coordinates of vertex - v0 in the basis.
     total = Fraction(0)
-    for simplex in triangulate_polytope(param_verts, n):
+    for simplex in triangulate_polytope(cell.vertices, cell.ambient_dim):
         if len(simplex) != n + 1:
             raise DimensionError(
                 f"triangulation gave {simplex} in dimension {n}")
-        total += integrate_over_simplex(f_alpha, list(simplex))
+        total += integrate_over_simplex(
+            f_alpha, [cell.lattice.coords(vsub(v, v0)) for v in simplex])
     return total
 
 

@@ -16,7 +16,14 @@ from tropicoh.cohomology import (
     multitangent_space,
     ordinary_cohomology,
 )
-from tropicoh.linalg import mat, mat_transpose, vdot, vec, wedge_vector
+from tropicoh.linalg import (
+    Lattice,
+    mat,
+    mat_transpose,
+    vdot,
+    vec,
+    wedge_vector,
+)
 from tropicoh.matroids import bergman_fan, uniform_matroid
 from tropicoh.polyhedral import (
     Polyhedron,
@@ -226,6 +233,26 @@ def test_cell_comparisons_read_the_cleared_vertices():
     assert polyhedral_uses == allowed
     assert "clear_denominators" not in (
         package / "modifications.py").read_text()
+
+
+def test_facet_normal_read_off_its_inequality():
+    # A facet's primitive normal comes from its inequality, by extended
+    # gcds over Z(sigma): no Smith form, no orienting witness point.  The
+    # Smith form has one caller left, the lattice saturation.
+    package = Path(tropicoh.__file__).parent
+    allowed = inspect.getsource(Lattice.from_subspace).count(
+        "smith_normal_form(")
+    assert allowed == 1
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        assert "lattice_quotient_primitive" not in text, path.name
+        uses = text.count("smith_normal_form(") - text.count(
+            "def smith_normal_form(")
+        expected = allowed if path.name == "linalg.py" else 0
+        assert uses == expected, f"{path.name} calls smith_normal_form"
+    source = inspect.getsource(polyhedral.lattice_quotient)
+    assert "relint_point" not in source
+    assert "hrep" in source
 
 
 def test_cone_kernel_is_one_double_description():

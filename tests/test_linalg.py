@@ -7,11 +7,11 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tropicoh import linalg
-from tropicoh.errors import CodimensionError, DimensionError
+from tropicoh.errors import CodimensionError, ComplexAxiomError, DimensionError
 from tropicoh.linalg import (
     Lattice,
     Subspace,
@@ -19,7 +19,6 @@ from tropicoh.linalg import (
     det,
     hermite_normal_form,
     kernel_basis,
-    lattice_quotient_primitive,
     mat,
     mat_mul,
     mat_shape,
@@ -38,6 +37,13 @@ from tropicoh.linalg import (
     wedge_power,
     wedge_vector,
 )
+from tropicoh.polyhedral import (
+    NEG_INF,
+    Polyhedron,
+    build_complex,
+    lattice_quotient,
+)
+from test_polyhedral import _closed_cones, _points
 
 F = Fraction
 
@@ -168,66 +174,70 @@ def test_lattice_membership_and_reduce():
 
 
 def test_quotient_primitive_gcd_oracle():
-    # Z(sigma) = saturation of (1,2) = Z(1,2); quotient by 0 is (1,2).
-    z_sigma = Lattice.from_subspace(Subspace(2, [[1, 2]]))
-    z_tau = Lattice(2, [])
-    nu = lattice_quotient_primitive(z_sigma, z_tau, [1, 2])
+    # The ray (1,2) over the origin: Z(sigma) = Z(1,2), over Z(tau) = 0.
+    sigma = Polyhedron(2, [(0, 0)], [(1, 2)])
+    nu = lattice_quotient(sigma, Polyhedron(2, [(0, 0)]))
     assert nu == (1, 2)
     assert math.gcd(*(int(x) for x in nu)) == 1
 
 
 def test_quotient_primitive_axis():
-    nu = lattice_quotient_primitive(
-        Lattice(2, [[1, 0], [0, 1]]), Lattice(2, [[1, 0]]), [0, 1])
-    assert nu == (0, 1)
-    nu = lattice_quotient_primitive(
-        Lattice(2, [[1, 0], [0, 1]]), Lattice(2, [[1, 0]]), [3, -1])
-    assert nu == (0, -1)
+    axis = Polyhedron(2, [(0, 0)], [(1, 0), (-1, 0)])
+    upper = Polyhedron(2, [(0, 0)], [(1, 0), (-1, 0), (0, 1)])
+    lower = Polyhedron(2, [(0, 0)], [(1, 0), (-1, 0), (0, -1)])
+    assert lattice_quotient(upper, axis) == (0, 1)
+    assert lattice_quotient(lower, axis) == (0, -1)
 
 
 def test_quotient_primitive_ray_gcd_reduction():
-    # Ray with direction (2,2): Z(sigma) = Z(1,1), primitive over the vertex.
-    z_sigma = Lattice.from_subspace(Subspace(2, [[2, 2]]))
-    nu = lattice_quotient_primitive(z_sigma, Lattice(2, []), [2, 2])
-    assert nu == (1, 1)
+    # Direction (2,2): Z(sigma) = Z(1,1), for the ray and for the segment.
+    origin = Polyhedron(2, [(0, 0)])
+    assert lattice_quotient(Polyhedron(2, [(0, 0)], [(2, 2)]), origin) == (1, 1)
+    segment = Polyhedron(2, [(0, 0), (2, 2)])
+    assert lattice_quotient(segment, origin) == (1, 1)
+    assert lattice_quotient(segment, Polyhedron(2, [(2, 2)])) == (-1, -1)
 
 
 def test_quotient_primitive_codimension_error():
+    # The apex of a 2-cone is a face of codimension two, and a diagonal
+    # of a square lies on no facet.
+    cone = Polyhedron(2, [(0, 0)], [(1, 0), (0, 1)])
     with pytest.raises(CodimensionError):
-        lattice_quotient_primitive(
-            Lattice(2, [[1, 0], [0, 1]]), Lattice(2, []), [1, 1])
+        lattice_quotient(cone, Polyhedron(2, [(0, 0)]))
+    with pytest.raises(CodimensionError):
+        lattice_quotient(cone, cone)
+    square = Polyhedron(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
+    with pytest.raises(CodimensionError):
+        lattice_quotient(square, Polyhedron(2, [(0, 0), (1, 1)]))
 
 
 def test_quotient_primitive_needs_a_sublattice():
-    # Z_tau outside span(Z_sigma), then inside it with a half-integer
-    # coordinate: both are rejected by the one coordinates pass.
+    # A face at infinity has no inequality of the cell: across a jump in
+    # sedentarity there is no primitive normal to read.
+    half_line = Polyhedron(1, [(0,)], [(-1,)])
     with pytest.raises(CodimensionError):
-        lattice_quotient_primitive(
-            Lattice(3, [[1, 0, 0], [0, 1, 0]]), Lattice(3, [[0, 0, 1]]),
-            [1, 1, 0])
+        lattice_quotient(half_line, Polyhedron(1, [(NEG_INF,)]))
+    quadrant = Polyhedron(2, [(0, 0)], [(-1, 0), (0, 1)])
     with pytest.raises(CodimensionError):
-        lattice_quotient_primitive(
-            Lattice(2, [[2, 0], [0, 1]]), Lattice(2, [[1, 0]]), [0, 1])
+        lattice_quotient(quadrant, Polyhedron(2, [(NEG_INF, 0)], [(0, 1)]))
 
 
 def test_quotient_primitive_is_primitive_mod_tau():
     rng = random.Random(11)
+    checked = 0
     for _ in range(20):
-        dim = rng.randint(1, 3)
-        full = Lattice.from_subspace(
-            Subspace(3, [[rng.randint(-3, 3) for _ in range(3)]
-                         for _ in range(dim)]))
-        if full.rank < 1:
-            continue
-        sub = Lattice(3, full.basis[:-1])
-        witness = full.basis[-1]
-        nu = lattice_quotient_primitive(full, sub, witness)
-        coords = full.coords(nu)
-        assert coords is not None
-        assert all(c.denominator == 1 for c in coords)
-        # Primitivity: coordinates in the sigma basis, reduced mod tau,
-        # have gcd 1 overall.
-        assert math.gcd(*(int(c) for c in coords)) == 1
+        n = rng.randint(1, 3)
+        den = rng.randint(1, 3)
+        verts = [[F(rng.randint(-3, 3), den) for _ in range(n)]
+                 for _ in range(rng.randint(1, 4))]
+        rays = [[rng.randint(-2, 2) for _ in range(n)]
+                for _ in range(rng.randint(0, 2))]
+        sigma = Polyhedron(n, verts, rays)
+        for tau in sigma.facets:
+            nu = lattice_quotient(sigma, tau)
+            assert Lattice(n, tau.lattice.basis + (nu,)) == sigma.lattice
+            checked += 1
+    assert checked
 
 
 # Wedge powers ---------------------------------------------------------------
@@ -525,9 +535,9 @@ def _mat_inverse(m):
 
 
 def _oracle_quotient_primitive(z_sigma, z_tau, witness):
-    """`lattice_quotient_primitive` with the witness side found by solving
-    for the witness in (nu, Z_tau), as before it was read off the Smith
-    matrix V."""
+    """The primitive generator of Z_sigma/Z_tau from a Smith form, with
+    the witness side found by solving for the witness in (nu, Z_tau): the
+    reference for `polyhedral.lattice_quotient`."""
     m = [z_sigma.coords(row) for row in z_tau.basis]
     k = z_tau.rank
     if k == 0:
@@ -546,48 +556,39 @@ def _oracle_quotient_primitive(z_sigma, z_tau, witness):
 
 
 @st.composite
-def _lattice_pairs(draw):
-    """Z_sigma of rank k + 1, a rank-k sublattice Z_tau made of integer
-    combinations of its basis, and a witness in span(Z_sigma), sometimes
-    in span(Z_tau)."""
-    n = draw(st.integers(1, 4))
-    ints = st.integers(-3, 3)
-    z_sigma = Lattice(n, [draw(st.lists(ints, min_size=n, max_size=n))
-                          for _ in range(draw(st.integers(1, n)))])
-    assume(z_sigma.rank >= 1)
-    k = z_sigma.rank - 1
-    combos = [draw(st.lists(ints, min_size=k + 1, max_size=k + 1))
-              for _ in range(k)]
-    gens = [[sum(c * b[i] for c, b in zip(combo, z_sigma.basis))
-             for i in range(n)] for combo in combos]
-    z_tau = Lattice(n, gens)
-    assume(z_tau.rank == k)
-    source = z_tau.basis if k and draw(st.booleans()) else z_sigma.basis
-    witness = vec([0] * n)
-    for b in source:
-        witness = vadd(witness, vscale(draw(_entries), vec(b)))
-    return z_sigma, z_tau, witness
+def _cells_and_faces(draw):
+    """Cells with rational vertices, rays and lineality pairs, or closed
+    cones in T^3 with their faces at infinity."""
+    if draw(st.booleans()):
+        cone = draw(_closed_cones())
+        try:
+            return build_complex([cone], tropical_coords=[0, 1, 2]).cells
+        except ComplexAxiomError:
+            return [cone]
+    n = draw(st.integers(1, 3))
+    den = draw(st.integers(1, 3))
+    verts = [[F(x, den) for x in v] for v in draw(_points(n, size=(1, 4)))]
+    rays = draw(_points(n, size=(0, 2)))
+    if draw(st.booleans()):
+        line = draw(_points(n, size=(1, 1)))[0]
+        rays += [line, tuple(-x for x in line)]
+    return [Polyhedron(n, verts, rays)]
 
 
-@settings(max_examples=300, deadline=None)
-@given(_lattice_pairs())
-def test_quotient_primitive_matches_solving_oracle(pair):
-    z_sigma, z_tau, witness = pair
-    try:
-        expected = _oracle_quotient_primitive(z_sigma, z_tau, witness)
-    except CodimensionError:
-        with pytest.raises(CodimensionError):
-            lattice_quotient_primitive(z_sigma, z_tau, witness)
-        return
-    assert lattice_quotient_primitive(z_sigma, z_tau, witness) == expected
+@settings(max_examples=150, deadline=None)
+@given(_cells_and_faces())
+def test_quotient_primitive_matches_solving_oracle(cells):
+    for sigma in cells:
+        for tau in sigma.facets:
+            witness = vsub(sigma.relint_point(), tau.relint_point())
+            expected = _oracle_quotient_primitive(sigma.lattice, tau.lattice,
+                                                  witness)
+            assert lattice_quotient(sigma, tau) == expected
 
 
 def test_lattice_coords_checks_the_ambient_length():
     with pytest.raises(DimensionError):
         Lattice(2, [[1, 0]]).coords([1, 0, 0])
-    with pytest.raises(DimensionError):
-        lattice_quotient_primitive(Lattice(2, [[1, 0]]), Lattice(2, []),
-                                   [1, 0, 0])
 
 
 def _fraction_coords(lattice, v):

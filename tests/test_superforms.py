@@ -8,11 +8,13 @@ forms; Stokes residuals are checked exactly on random simplices and boxes.
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tropicoh import polyhedral
 from tropicoh.errors import DegreeError, DimensionError, UnboundedDomainError
 from tropicoh.convex import polyhedron_facets
 from tropicoh.linalg import Subspace, det, mat_mul, mat, vdot, vec, vsub
@@ -292,6 +294,24 @@ def test_integrate_unimodular_invariance():
     t1 = Polyhedron(2, [(0, 0), (1, 0), (1, 1)])
     t2 = Polyhedron(2, [(0, 0), (0, 1), (1, 1)])
     assert integrate_cell(alpha, t1) + integrate_cell(alpha, t2) == direct
+
+
+def test_integration_interns_no_parameter_cell():
+    # The cell itself is triangulated and each simplex mapped to lattice
+    # parameters, so no polytope of the parameter space Q^2 is interned.
+    # A square in the plane z = x + y of R^3, of lattice area 1.
+    square = Polyhedron(3, [(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 2)])
+    alpha = form_from_terms(3, 2, 2, [((0, 1), (0, 1), -1)])
+    interned = polyhedral._interned
+    ambients = []
+
+    def recording(ambient_dim, *signature):
+        ambients.append(ambient_dim)
+        return interned(ambient_dim, *signature)
+
+    with mock.patch.object(polyhedral, "_interned", recording):
+        assert integrate_cell(alpha, square) == 1
+    assert ambients and set(ambients) == {3}
 
 
 def test_integrate_unbounded_rejected():
