@@ -360,8 +360,17 @@ def cmd_corpus(args):
     return 1 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ParseError, so a bad
+    argument gets the same JSON report and exit code 2 as a bad file.
+    Subparsers are built from the same class; `--help` still exits 0."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tropicoh",
         description="Exact workbench for tropical cohomology, Bergman fans, "
                     "modifications and superform integration.")
@@ -451,6 +460,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    except ParseError as exc:
+        _emit({"error": "parse", "message": str(exc)})
+        return 2
     try:
         return args.func(args)
     except ParseError as exc:

@@ -150,7 +150,7 @@ def multitangent_space(c: PolyhedralComplex, cell_index: int, p: int
     if p < 0:
         raise DimensionError("negative wedge degree")
     cells = c.cells
-    sed = cells[cell_index].sedentarity
+    sed = c.cell(cell_index).sedentarity
     pieces = [cells[j].wedge_powers[p]
               for j in c.cofaces(cell_index) & c.stratum_maximal
               if cells[j].sedentarity == sed and p <= cells[j].dim]

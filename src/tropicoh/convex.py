@@ -107,11 +107,13 @@ def cone_rays(ineq_normals, eq_normals, ambient_dim: int):
 
 
 def _rescale_offset(a_raw, b_raw):
-    """Primitive normal with the offset scaled consistently."""
+    """Primitive normal with the offset scaled consistently.  The offset
+    is an int when it is integral, so cell keys hash ints."""
     ap = primitive(a_raw)
     scale = next(Fraction(x) / Fraction(y)
                  for x, y in zip(ap, vec(a_raw)) if y != 0)
-    return ap, Fraction(b_raw) * scale
+    b = Fraction(b_raw) * scale
+    return ap, b.numerator if b.denominator == 1 else b
 
 
 def polyhedron_facets(vertices, rays, ambient_dim: int):
@@ -119,8 +121,10 @@ def polyhedron_facets(vertices, rays, ambient_dim: int):
 
     Returns (equations, inequalities): equations as pairs (a, b) meaning
     a . x = b in canonical reduced form; inequalities as pairs (a, b)
-    meaning a . x >= b, one per facet, primitive and sorted.  Inequalities
-    constant on the affine hull are dropped, so the list is irredundant.
+    meaning a . x >= b, one per facet, primitive and sorted.  Each a is a
+    primitive int tuple, and b an int when it is integral, a Fraction
+    otherwise.  Inequalities constant on the affine hull are dropped, so
+    the list is irredundant.
     """
     verts = [vec(v) for v in vertices]
     rs = [vec(r) for r in rays]

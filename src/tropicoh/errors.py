@@ -10,7 +10,8 @@ class TropicohError(Exception):
 
 
 class DimensionError(TropicohError):
-    """Ambient dimensions of two objects do not match."""
+    """Ambient dimensions of two objects do not match, or an index or
+    coordinate lies outside the object it refers to."""
 
 
 class CodimensionError(TropicohError):

@@ -95,30 +95,27 @@ def primitive(v) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
-def det(m: Mat) -> Fraction:
-    """Determinant by Bareiss fraction-free elimination.
+def idet(rows) -> int:
+    """Determinant of a square integer matrix by Bareiss's fraction-free
+    elimination (Bareiss, Math. Comp. 22 (1968) 565-578).
 
-    Each row is scaled to integers by its common denominator; every
-    division in the elimination is exact.
+    Each step replaces an entry by a 2 x 2 minor divided by the previous
+    pivot, a division that is always exact, so every entry stays an int.
+    The rows are copied, not changed.
     """
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    if any(len(r) != n for r in m):
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    if any(len(r) != n for r in rows):
         raise DimensionError("determinant of a non-square matrix")
-    rows = []
-    scale = 1
-    for r in m:
-        ints, den = clear_denominators(r)
-        rows.append(ints)
-        scale *= den
+    if n == 0:
+        return 1
     sign = 1
     prev = 1
     for k in range(n):
         if rows[k][k] == 0:
             swap = next((r for r in range(k + 1, n) if rows[r][k] != 0), None)
             if swap is None:
-                return Fraction(0)
+                return 0
             rows[k], rows[swap] = rows[swap], rows[k]
             sign = -sign
         pk, top = rows[k][k], rows[k]
@@ -128,7 +125,19 @@ def det(m: Mat) -> Fraction:
             for j in range(k + 1, n):
                 row[j] = (pk * row[j] - f * top[j]) // prev
         prev = pk
-    return Fraction(sign * rows[-1][-1], scale)
+    return sign * rows[-1][-1]
+
+
+def det(m: Mat) -> Fraction:
+    """Determinant of a rational matrix: each row is scaled to integers
+    by its common denominator, and `idet` takes the integer determinant."""
+    rows = []
+    scale = 1
+    for r in m:
+        ints, den = clear_denominators(r)
+        rows.append(ints)
+        scale *= den
+    return Fraction(idet(rows), scale)
 
 
 def rref(rows) -> tuple[list[Vec], list[int]]:

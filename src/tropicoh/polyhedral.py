@@ -10,24 +10,29 @@ after a recession-cone support test.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import convex
-from .errors import CodimensionError, ComplexAxiomError, PurityError
+from .errors import (
+    CodimensionError,
+    ComplexAxiomError,
+    DimensionError,
+    PurityError,
+)
 from .linalg import (
     Lattice,
     Subspace,
     Vec,
     _xgcd,
     clear_denominators,
-    det,
+    idet,
     idot,
     is_zero_vec,
     primitive,
     unit_vec,
     vadd,
-    vdot,
     vec,
     vscale,
     vsub,
@@ -79,6 +84,9 @@ class Polyhedron:
         if len(at_infinity) > 1:
             raise ValueError("vertices are -inf in different coordinates")
         sed = frozenset(sedentarity).union(*at_infinity)
+        if any(not 0 <= i < ambient_dim for i in sed):
+            raise DimensionError(f"sedentary coordinates {sorted(sed)} "
+                                 f"outside T^{ambient_dim}")
         verts = [tuple(Fraction(0) if x is NEG_INF else Fraction(x)
                        for x in v) for v in rows]
         for v in verts:
@@ -109,14 +117,6 @@ class Polyhedron:
         return tuple(eqs), tuple(ineqs)
 
     @property
-    def recession_hrep(self):
-        """(equations, inequalities) of the recession cone: the H-rep of
-        the cell with every offset set to zero."""
-        eqs, ineqs = self.hrep
-        return (tuple((a, 0) for a, _ in eqs),
-                tuple((a, 0) for a, _ in ineqs))
-
-    @property
     def dim(self) -> int:
         return self.tangent.dim
 
@@ -145,17 +145,21 @@ class Polyhedron:
         return (self.ambient_dim, tuple(sorted(self.sedentarity))) + self.hrep
 
     @cached_property
-    def orientation(self) -> tuple[Vec, ...]:
-        """Ordered basis of L(sigma): the Hermite lattice basis, with a
-        one-dimensional cell turned along its first ray, or else from its
-        lowest to its highest vertex.  Each depends only on the point set,
-        so cells with equal `key` have equal orientations."""
-        basis = [vec(b) for b in self.lattice.basis]
+    def orientation(self) -> tuple[tuple[int, ...], ...]:
+        """Ordered basis of L(sigma) as integer rows: the Hermite lattice
+        basis, with a one-dimensional cell turned along its first ray, or
+        else from its lowest to its highest vertex.  Each depends only on
+        the point set, so cells with equal `key` have equal orientations."""
+        basis = list(self.lattice.basis)
         if self.dim == 1:
-            direction = (vec(self.rays[0]) if self.rays
-                         else vsub(self.vertices[-1], self.vertices[0]))
-            if vdot(basis[0], direction) < 0:
-                basis[0] = vscale(-1, basis[0])
+            b = basis[0]
+            if self.rays:
+                s = idot(b, self.rays[0])
+            else:
+                (lo, dlo), (hi, dhi) = self._cleared[0], self._cleared[-1]
+                s = idot(b, hi) * dlo - idot(b, lo) * dhi
+            if s < 0:
+                basis[0] = tuple(-x for x in b)
         return tuple(basis)
 
     @cached_property
@@ -368,6 +372,12 @@ class PolyhedralComplex:
         n = self.n
         return all(self.cells[i].dim == n for i in self.facet_indices())
 
+    def cell(self, i: int) -> Polyhedron:
+        """`cells[i]`, or DimensionError when i is not a cell index."""
+        if not 0 <= i < len(self.cells):
+            raise DimensionError(f"no cell {i} among {len(self.cells)}")
+        return self.cells[i]
+
     def cells_of_dim(self, d: int) -> list[int]:
         return [i for i, c in enumerate(self.cells) if c.dim == d]
 
@@ -420,6 +430,20 @@ class PolyhedralComplex:
         return f"PolyhedralComplex(T^{self.ambient_dim}: {desc})"
 
 
+def _relint_scaled(p: Polyhedron) -> tuple[list[int], int]:
+    """(s, m) with `p.relint_point()` equal to s / m: s an integer row and
+    m > 0, read off the cleared vertices and the rays."""
+    m = math.lcm(*(d for _, d in p._cleared))
+    s = [0] * p.ambient_dim
+    for ints, d in p._cleared:
+        f = m // d
+        s = [x + f * y for x, y in zip(s, ints)]
+    m *= len(p.vertices)
+    for r in p.rays:
+        s = [x + m * y for x, y in zip(s, r)]
+    return s, m
+
+
 def _incidence_sign(tau: Polyhedron, sigma: Polyhedron) -> int:
     """Orientation sign of a covering pair using the outward convention.
 
@@ -427,27 +451,39 @@ def _incidence_sign(tau: Polyhedron, sigma: Polyhedron) -> int:
     pointing out of sigma through tau.  On k columns R where (u, o_tau)
     has a nonzero minor, det(o_sigma|R) = det M * det((u, o_tau)|R), so two
     integer minors decide it.  R is the pivots of L(tau) plus the first
-    column where u is nonzero modulo L(tau).
+    column where u is nonzero modulo L(tau).  Everything is in integers.
     """
     if tau.sedentarity == sigma.sedentarity:
-        # A positive multiple of minus the primitive normal plus a vector of
-        # L(tau), so the determinant has the same sign as with it.
-        u = vsub(tau.relint_point(), sigma.relint_point())
+        # A positive multiple of relint(tau) - relint(sigma): minus the
+        # primitive normal, scaled up, plus a vector of L(tau), so the
+        # determinant has the same sign as with the normal.
+        st, mt = _relint_scaled(tau)
+        ss, ms = _relint_scaled(sigma)
+        u = [ms * x - mt * y for x, y in zip(st, ss)]
     else:
         # Across a jump the outward direction is the escape vector w of
         # L(sigma): negative on the escaping coordinates and zero on the
         # pivots of L(tau), where lifts of o_tau into L(sigma) agree with
         # o_tau.  Expanded along u's row, the minors with -e_j and o_tau
         # have the signs of those with w and the lifts.
-        j = min(tau.sedentarity - sigma.sedentarity)
-        u = vscale(-1, unit_vec(tau.ambient_dim, j))
-    extra = next((i for i, x in enumerate(tau.tangent.reduce(u)) if x), None)
+        u = [0] * tau.ambient_dim
+        u[min(tau.sedentarity - sigma.sedentarity)] = -1
+    # Fraction-free reduction against the Hermite basis of Z(tau), whose
+    # pivots are positive and sit at those of L(tau): each step scales u
+    # by a pivot, so u ends as a positive multiple of
+    # `tau.tangent.reduce(u)`, zero on the pivots and on the same columns.
+    for p, row in zip(tau.tangent.pivots, tau.lattice.basis):
+        c = u[p]
+        if c:
+            h = row[p]
+            u = [h * x - c * y for x, y in zip(u, row)]
+    extra = next((i for i, x in enumerate(u) if x), None)
     if extra is None:
         raise ComplexAxiomError("degenerate incidence")
     cols = sorted(tau.tangent.pivots + (extra,))
 
     def minor(rows):
-        return det(tuple(tuple(r[i] for i in cols) for r in rows))
+        return idet([[r[i] for i in cols] for r in rows])
 
     d = minor(sigma.orientation) * minor((u,) + tau.orientation)
     if d == 0:
@@ -501,6 +537,9 @@ def build_complex(maximal_cells, tropical_coords=()) -> PolyhedralComplex:
     for c, _ in entries:
         if c.ambient_dim != ambient:
             raise ComplexAxiomError("mixed ambient dimensions")
+    if any(not 0 <= i < ambient for i in tropical):
+        raise DimensionError(f"tropical coordinates {sorted(tropical)} "
+                             f"outside T^{ambient}")
     cells = {c.key: c for c, _ in entries}
     if len(cells) < len(entries):
         raise ComplexAxiomError("duplicate maximal cell")
@@ -675,7 +714,7 @@ def fundamental_cycle_boundary(c: PolyhedralComplex):
 def star(c: PolyhedralComplex, cell_index: int) -> PolyhedralComplex:
     """The star fan of a cell, translated to the origin of its stratum: one
     cone per coface that is maximal in the cell's stratum."""
-    base = c.cells[cell_index]
+    base = c.cell(cell_index)
     keep = [i for i in range(c.ambient_dim) if i not in base.sedentarity]
     x = base.relint_point()
     maximal = []
@@ -694,6 +733,8 @@ def star(c: PolyhedralComplex, cell_index: int) -> PolyhedralComplex:
 def product(c: PolyhedralComplex, extra_dim: int, tropical: bool
             ) -> PolyhedralComplex:
     """The product complex C x R^s or C x T^s."""
+    if extra_dim < 0:
+        raise DimensionError(f"negative number of factors: {extra_dim}")
     r = c.ambient_dim
     new_coords = list(range(r, r + extra_dim))
     maximal = []

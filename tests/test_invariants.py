@@ -1,14 +1,18 @@
 """Cross-cutting spec invariants not tied to a single module."""
 
 import ast
+import hashlib
 import importlib
 import inspect
+import json
 import pkgutil
 from fractions import Fraction
 from pathlib import Path
 
 import tropicoh
 from tropicoh import chains, cohomology, convex, polyhedral
+from tropicoh import io as tio
+from tropicoh.cli import main
 from tropicoh.cohomology import (
     build_cosheaf,
     build_sheaf,
@@ -264,17 +268,122 @@ def test_cone_kernel_is_one_double_description():
 
 
 def test_exact_kernel_returns_fractions():
-    # The kernel eliminates on integer rows internally; an int leaking out
-    # would hash equal to its Fraction but could change canonical output.
-    c = product(tropical_line(), 1, tropical=True)
-    spaces = []
-    for i, cell in enumerate(c.cells):
-        eqs, ineqs = cell.key[2], cell.key[3]
-        assert all(type(b) is F for _, b in list(eqs) + list(ineqs))
-        assert all(type(x) is F for v in cell.vertices for x in v)
-        spaces.append(cell.tangent)
-        spaces.extend(multitangent_space(c, i, p) for p in range(c.n + 1))
-    assert all(type(x) is F for s in spaces for row in s.basis for x in row)
+    # A cell key's offsets are ints exactly when integral, so keys hash
+    # ints, and a Fraction offset always keeps a denominator.  Vertices
+    # and subspace bases stay Fraction; orientations are integer rows.
+    # What an int could change, the canonical output, is pinned by
+    # test_canonical_reports_frozen.
+    half = F(1, 2)
+    cases = [product(tropical_line(), 1, tropical=True),
+             build_complex([Polyhedron(2, [(half, 0), (half, 1)])]),
+             build_complex([Polyhedron(2, [(half, 0), (0, F(1, 3)),
+                                           (1, 1)])])]
+    kinds = set()
+    for c in cases:
+        spaces = []
+        for i, cell in enumerate(c.cells):
+            eqs, ineqs = cell.key[2], cell.key[3]
+            for a, b in eqs + ineqs:
+                assert all(type(x) is int for x in a)
+                assert type(b) is int or (type(b) is F and b.denominator > 1)
+                kinds.add(type(b))
+            assert all(type(x) is F for v in cell.vertices for x in v)
+            assert all(type(x) is int for row in cell.orientation
+                       for x in row)
+            spaces.append(cell.tangent)
+            spaces.extend(multitangent_space(c, i, p)
+                          for p in range(c.n + 1))
+        assert all(type(x) is F for s in spaces for row in s.basis
+                   for x in row)
+    assert kinds == {int, F}
+
+
+# sha256 of the canonical JSON on stdout, and `content_hash` of the report,
+# for each CLI call of `_canonical_reports`.
+_FROZEN_REPORTS = {
+    "validate closed-line": (
+        "64bd2a6e2e1461413fb8ba20e19237df31567d885a277fa6bb03144af11357f3",
+        "f17e46b18386b0b4ab1cd88c27c545d0e12b87208a197ed53ca023c5305bcb9b"),
+    "validate line-x-t": (
+        "c325326714b1351850fcfb4575e60b4c2391426204a9f9a1ccb99366b63c59ed",
+        "de7c19685ba78ec62685705f301e7265ee74890bb6f578b77c3007067c4c5115"),
+    "validate segment-x-half": (
+        "bef5d3935aa55b4c72cd658db053fd764f651f63d81a797ed90f3c30cf067944",
+        "4d5626265a3bf0cb61d8c3f947322523c7f9e3ee09ff02f7a3c1e1eca099a4ee"),
+    "validate triangle": (
+        "9fc6da95702673f55afcf7924f6d16fdbbfa2dd56c37aed5248920ab2f183a74",
+        "39842bdef6cf9756dceaf1ce9c9e90c0c8f9e4cdce3ce6b36d8cd9c096d2ea4d"),
+    "modify r1 max-half-x": (
+        "7611bc53035c1ebd164e93ca02d973ee672027c09195374dea3d3f4c01d1bbe7",
+        "d0ec0d665b5a6ca858961230a2907990085839f27ae4b312eccae6091f590b23"),
+    "modify line max-third-x1": (
+        "36544aaf1126d05f3018c9b9b70b2b22899c55d68eb695466f1e1baaf813bec0",
+        "b0ee2c9dc90a89ec2fa89c1ac25c58cbaaf1f6e2374aa1ec0d7fc2c2134840ab"),
+    "project line 2": (
+        "0b80fcead090fe7f221e43c9d057396c414088639e38c839bb343ae8a1e4f7a2",
+        "a025e7e739525d30a6e57fc60507fbbb29fe0975686483a0d8956a4af0ff0c41"),
+}
+
+
+def _canonical_reports(tmp_path, capsys):
+    half, third = F(1, 2), F(1, 3)
+    r1 = build_complex([Polyhedron(1, [(0,)], [(1,)]),
+                        Polyhedron(1, [(0,)], [(-1,)])])
+    complexes = {
+        "closed-line": closure_in(tropical_line(), [0, 1]),
+        "line-x-t": product(tropical_line(), 1, tropical=True),
+        "segment-x-half": build_complex([Polyhedron(2, [(half, 0),
+                                                        (half, 1)])]),
+        "triangle": build_complex([Polyhedron(2, [(half, 0), (0, third),
+                                                  (1, 1)])]),
+        "r1": r1,
+        "line": tropical_line(),
+    }
+    functions = {
+        "max-half-x": {"mode": "max", "terms": [
+            {"coeff": "1/2", "exponents": [0]},
+            {"coeff": 0, "exponents": [1]}]},
+        "max-third-x1": {"mode": "max", "terms": [
+            {"coeff": "1/3", "exponents": [0, 0]},
+            {"coeff": 0, "exponents": [1, 0]}]},
+    }
+    for name, c in complexes.items():
+        tio.save_complex(c, tmp_path / f"{name}.json")
+    for name, f in functions.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(f))
+    path = lambda name: str(tmp_path / f"{name}.json")
+    calls = [(f"validate {name}", ["validate", path(name)])
+             for name in ("closed-line", "line-x-t", "segment-x-half",
+                          "triangle")]
+    calls += [("modify r1 max-half-x",
+               ["modify", path("r1"), path("max-half-x")]),
+              ("modify line max-third-x1",
+               ["modify", path("line"), path("max-third-x1")]),
+              ("project line 2",
+               ["project", path("line"), "--coordinate", "2"])]
+    out = {}
+    for name, argv in calls:
+        assert main(argv) == 0, name
+        text = capsys.readouterr().out
+        out[name] = (hashlib.sha256(text.encode()).hexdigest(),
+                     tio.content_hash(json.loads(text)))
+        if argv[0] == "modify":
+            # Projecting the cycle along its new, last coordinate gives
+            # the same report, rational offsets and all.
+            cycle = json.loads(text)["cycle"]
+            cpath = tmp_path / f"cycle-{len(out)}.json"
+            cpath.write_text(tio.canonical_json(cycle))
+            assert main(["project", str(cpath), "--coordinate",
+                         str(cycle["ambient_dim"])]) == 0, name
+            assert capsys.readouterr().out == text, name
+    return out
+
+
+def test_canonical_reports_frozen(tmp_path, capsys):
+    # Canonical JSON and content hashes of validate, modify and project
+    # reports on cells with integral and rational offsets, frozen when
+    # every offset was a Fraction.
+    assert _canonical_reports(tmp_path, capsys) == _FROZEN_REPORTS
 
 
 def test_imports_at_module_level():

@@ -227,6 +227,27 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert json.loads(out)["error"] == "NotAModificationError"
 
 
+
+@pytest.mark.parametrize("argv", [
+    ["stokes", "x", "--box", "y"],
+    ["bergman", "--graph", "-1,0"],
+    ["project", "c.json", "--coordinate", "abc"],
+    ["no-such-verb"],
+    [],
+])
+def test_cli_bad_arguments_are_json_parse_errors(argv, capsys):
+    # Arguments argparse refuses get the JSON report of a bad file.
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["error"] == "parse"
+    assert captured.err == ""
+
+
+def test_cli_help_exits_zero(capsys):
+    assert main(["stokes", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: tropicoh stokes")
+
 LINE = {"ambient_dim": 2, "maximal_cells": [
     {"vertices": [["0", "0"]], "rays": [r]}
     for r in (["-1", "0"], ["0", "-1"], ["1", "1"])]}

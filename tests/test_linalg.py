@@ -16,8 +16,10 @@ from tropicoh.linalg import (
     Lattice,
     Subspace,
     _xgcd,
+    clear_denominators,
     det,
     hermite_normal_form,
+    idet,
     kernel_basis,
     mat,
     mat_mul,
@@ -482,6 +484,35 @@ def test_det_matches_rational_elimination(shape_rows):
 
 def test_det_of_empty_matrix():
     assert det(()) == 1 and type(det(())) is F
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_rational_rows(square=True),
+                 _rational_rows(square=True, entries=st.integers(-9, 9))))
+@example((0, []))                                      # size 0
+@example((1, [[-7]]))                                  # size 1
+@example((1, [[0]]))
+@example((3, [[1, 2, 3], [2, 4, 6], [0, 1, 5]]))       # singular
+@example((3, [[0, 1, 2], [3, 0, 1], [1, 1, 0]]))       # needs a row swap
+def test_det_is_idet_of_the_cleared_rows(shape_rows):
+    # det clears each row and hands the integer rows to idet, which
+    # returns an int and leaves its input as it was.
+    _, rows = shape_rows
+    cleared = [clear_denominators(r) for r in rows]
+    ints = [r for r, _ in cleared]
+    before = [list(r) for r in ints]
+    got = idet(ints)
+    assert type(got) is int and ints == before
+    assert got == _oracle_det(ints)
+    scale = math.prod(d for _, d in cleared)
+    assert det(mat(rows)) == F(got, scale) == _oracle_det(rows)
+
+
+def test_idet_refuses_a_non_square_matrix():
+    with pytest.raises(DimensionError):
+        idet([[1, 2]])
+    with pytest.raises(DimensionError):
+        det(mat([[1, 2]]))
 
 
 @settings(max_examples=300, deadline=None)

@@ -12,7 +12,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tropicoh import convex, polyhedral
-from tropicoh.errors import ComplexAxiomError
+from tropicoh.cohomology import multitangent_space
+from tropicoh.errors import ComplexAxiomError, DimensionError
 from tropicoh.matroids import bergman_fan, graphic_matroid, uniform_matroid
 from tropicoh.modifications import (
     MAX,
@@ -333,6 +334,31 @@ def test_star_keeps_maximal_cofaces_of_every_dimension():
     assert st.same_weighted(c)
 
 
+_U23 = bergman_fan(uniform_matroid(2, 3))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Polyhedron(2, [(0, 0)], [], {7}),
+    lambda: Polyhedron(2, [(0, 0)], [], {-1}),
+    lambda: star(_U23, 999),
+    lambda: star(_U23, -1),
+    lambda: multitangent_space(_U23, 999, 0),
+    lambda: closure_in(_U23, [0, 1, 2]),
+    lambda: closure_in(_U23, [5]),
+    lambda: product(_U23, -1, True),
+    lambda: build_complex([_U23.cells[i] for i in _U23.facet_indices()],
+                          [3]),
+], ids=["sedentary-7", "sedentary-negative", "star-999", "star-negative",
+        "multitangent-999", "closure-012", "closure-5", "product-negative",
+        "build-3"])
+def test_indices_outside_the_object_raise_dimension_error(call):
+    # On the U_{2,3} fan in R^2: cell indices and coordinates that do not
+    # exist are refused with a typed error instead of an IndexError, a
+    # ValueError or silence.
+    with pytest.raises(DimensionError):
+        call()
+
+
 def test_product_point_with_t1():
     pt = build_complex([(Polyhedron(0, [()]), 1)])
     c = product(pt, 1, tropical=True)
@@ -640,12 +666,19 @@ def _cells_with_rays(draw):
     return cell, frozenset(extra)
 
 
+def _recession_hrep(p):
+    """(equations, inequalities) of the recession cone of p: the H-rep of
+    the cell with every offset set to zero."""
+    eqs, ineqs = p.hrep
+    return (tuple((a, 0) for a, _ in eqs), tuple((a, 0) for a, _ in ineqs))
+
+
 @settings(max_examples=300, deadline=None)
 @given(_cells_with_rays())
 def test_recession_cone_read_from_hrep(case):
     p, extra = case
     origin = zero_vec(p.ambient_dim)
-    cone = from_hrep(p.ambient_dim, *p.recession_hrep, p.sedentarity)
+    cone = from_hrep(p.ambient_dim, *_recession_hrep(p), p.sedentarity)
     assert cone.key == Polyhedron(p.ambient_dim, [origin], p.rays,
                                   p.sedentarity).key
     new, old = stratum_piece(p, extra), _oracle_stratum_piece(p, extra)
@@ -960,13 +993,126 @@ def test_closed_cone_signs_match_solving_oracle(cone):
     _assert_signs_match_solving_oracle(c)
 
 
+def _fraction_det(rows):
+    """Determinant by Gaussian elimination over Q."""
+    rows = [list(map(F, r)) for r in rows]
+    d = F(1)
+    for k in range(len(rows)):
+        pivot = next((r for r in range(k, len(rows)) if rows[r][k]), None)
+        if pivot is None:
+            return F(0)
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            d = -d
+        d *= rows[k][k]
+        for r in rows[k + 1:]:
+            f = r[k] / rows[k][k]
+            r[k:] = [x - f * y for x, y in zip(r[k:], rows[k][k:])]
+    return d
+
+
+def _fraction_orientation(p):
+    """`Polyhedron.orientation` as it was in Fraction vectors."""
+    basis = [vec(b) for b in p.lattice.basis]
+    if p.dim == 1:
+        direction = (vec(p.rays[0]) if p.rays
+                     else vsub(p.vertices[-1], p.vertices[0]))
+        if vdot(basis[0], direction) < 0:
+            basis[0] = vscale(-1, basis[0])
+    return tuple(basis)
+
+
+def _fraction_incidence_sign(tau, sigma):
+    """`_incidence_sign` as it was in Fraction vectors: u from the
+    relative-interior points or -e_j, reduced by `tau.tangent.reduce`,
+    and the two minors taken over Q."""
+    if tau.sedentarity == sigma.sedentarity:
+        u = vsub(tau.relint_point(), sigma.relint_point())
+    else:
+        j = min(tau.sedentarity - sigma.sedentarity)
+        u = vscale(-1, unit_vec(tau.ambient_dim, j))
+    extra = next((i for i, x in enumerate(tau.tangent.reduce(u)) if x), None)
+    if extra is None:
+        raise ComplexAxiomError("degenerate incidence")
+    cols = sorted(tau.tangent.pivots + (extra,))
+
+    def minor(rows):
+        return _fraction_det([[r[i] for i in cols] for r in rows])
+
+    d = (minor(_fraction_orientation(sigma))
+         * minor((u,) + _fraction_orientation(tau)))
+    if d == 0:
+        raise ComplexAxiomError("degenerate incidence")
+    return 1 if d > 0 else -1
+
+
+_SIGN_FANS = {
+    "u23": lambda: bergman_fan(uniform_matroid(2, 3)),
+    "u24": lambda: bergman_fan(uniform_matroid(2, 4)),
+    "u34": lambda: bergman_fan(uniform_matroid(3, 4)),
+    "graphic": lambda: bergman_fan(
+        graphic_matroid([(0, 1), (1, 2), (2, 0), (2, 3)])),
+}
+
+
+@st.composite
+def _sign_complexes(draw):
+    """Random fans (a cone with its apex at a lattice point, or a Bergman
+    fan), fan x T^s and fan x R^s products, closures in random
+    coordinates, and closures of cells with rational vertices."""
+    kind = draw(st.sampled_from(["cone", "product", "closure", "rational"]))
+    if kind == "rational":
+        cell = draw(_rational_cells())
+        mobile = sorted(set(range(cell.ambient_dim)) - cell.sedentarity)
+        cells, coords = [cell], draw(st.sets(st.sampled_from(mobile)))
+    else:
+        fan = (build_complex([draw(_closed_cones())]) if kind == "cone"
+               else _SIGN_FANS[draw(st.sampled_from(sorted(_SIGN_FANS)))]())
+        if kind == "product":
+            fan = product(fan, draw(st.integers(1, 3 - fan.n)),
+                          draw(st.booleans()))
+        cells = [(fan.cells[i], fan.weight(i)) for i in fan.facet_indices()]
+        coords = fan.tropical_coords | draw(st.sets(
+            st.integers(0, fan.ambient_dim - 1)))
+    try:
+        return build_complex(cells, tropical_coords=coords)
+    except ComplexAxiomError:
+        assume(False)
+
+
+def _assert_signs_match_fraction_signs(c):
+    for t, s in c.covers:
+        assert c.signs[(t, s)] == _fraction_incidence_sign(
+            c.cells[t], c.cells[s]), (t, s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sign_complexes())
+def test_integer_signs_match_fraction_signs(c):
+    _assert_signs_match_fraction_signs(c)
+
+
+@pytest.mark.parametrize("name", sorted(_BUILD_CASES))
+def test_build_case_signs_match_fraction_signs(name):
+    _assert_signs_match_fraction_signs(_BUILD_CASES[name]())
+
+
+def test_sign_cases_cross_sedentarity_jumps():
+    # The closures and T^s products above have covers across a jump.
+    jumps = {name for name, build in _BUILD_CASES.items()
+             if any(c.cells[t].sedentarity != c.cells[s].sedentarity
+                    for c in [build()] for t, s in c.covers)}
+    assert {"closure-line", "closure-u34", "diagonal-escape",
+            "product-tropical", "product-t2"} <= jumps
+
+
 def _old_stratum_piece(p, extra):
     """`stratum_piece` as it was before the feasibility test on the
     homogeneous cone: a vector of the recession cone that is <= -1 on
     `extra` and zero on the other mobile coordinates, found by a
     homogenized vertex enumeration through `from_hrep`."""
     mobile = [i for i in range(p.ambient_dim) if i not in p.sedentarity]
-    eqs, ineqs = (list(h) for h in p.recession_hrep)
+    eqs, ineqs = (list(h) for h in _recession_hrep(p))
     for i in mobile:
         if i in extra:
             ineqs.append((vscale(-1, unit_vec(p.ambient_dim, i)), F(1)))
