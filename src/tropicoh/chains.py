@@ -16,48 +16,19 @@ from __future__ import annotations
 from .linalg import rref
 
 
-class _SparseDiff:
-    """Mutable sparse matrix with row and column indices."""
+def _drop_row(rows, cols, i):
+    row = rows.pop(i, {})
+    for j in row:
+        cols[j].discard(i)
+    return row
 
-    def __init__(self, entries):
-        self.rows: dict = {}
-        self.cols: dict = {}
-        for (i, j), v in entries.items():
-            if v == 0:
-                continue
-            self.rows.setdefault(i, {})[j] = v
-            self.cols.setdefault(j, set()).add(i)
 
-    def get(self, i, j):
-        return self.rows.get(i, {}).get(j, 0)
-
-    def set(self, i, j, v):
-        if v == 0:
-            row = self.rows.get(i)
-            if row and j in row:
-                del row[j]
-                if not row:
-                    del self.rows[i]
-                self.cols[j].discard(i)
-                if not self.cols[j]:
-                    del self.cols[j]
-        else:
-            self.rows.setdefault(i, {})[j] = v
-            self.cols.setdefault(j, set()).add(i)
-
-    def delete_row(self, i):
-        for j in list(self.rows.get(i, {})):
-            self.cols[j].discard(i)
-            if not self.cols[j]:
-                del self.cols[j]
-        self.rows.pop(i, None)
-
-    def delete_col(self, j):
-        for i in list(self.cols.get(j, ())):
-            del self.rows[i][j]
-            if not self.rows[i]:
-                del self.rows[i]
-        self.cols.pop(j, None)
+def _drop_col(rows, cols, j):
+    for i in cols.pop(j, ()):
+        row = rows[i]
+        del row[j]
+        if not row:
+            del rows[i]
 
 
 def betti_numbers(dims: list[int], diffs: list[dict]) -> list[int]:
@@ -66,68 +37,71 @@ def betti_numbers(dims: list[int], diffs: list[dict]) -> list[int]:
     `dims[q]` is dim C^q; `diffs[q]` maps entry (i, j) of the differential
     C^q -> C^{q+1} to its value (i indexes C^{q+1}, j indexes C^q).
     Composition of consecutive differentials must be zero.
+
+    Each differential is held as nonzero rows {i: {j: v}} and column sets
+    {j: {i}}; an empty row is deleted, a column set may stay empty.
     """
     top = len(dims) - 1
     alive = [set(range(d)) for d in dims]
-    sparse = [_SparseDiff(diffs[q] if q < len(diffs) else {})
-              for q in range(top)]
+    rows = [{} for _ in range(top)]
+    cols = [{} for _ in range(top)]
+    for q, d in enumerate(diffs[:top]):
+        for (i, j), v in d.items():
+            if v:
+                rows[q].setdefault(i, {})[j] = v
+                cols[q].setdefault(j, set()).add(i)
 
     # Unit-pivot reduction, one degree at a time.
     for q in range(top):
-        d = sparse[q]
-        queue = [(i, j) for i, row in d.rows.items() for j, v in row.items()
+        r, c = rows[q], cols[q]
+        queue = [(i, j) for i, row in r.items() for j, v in row.items()
                  if abs(v) == 1]
         while queue:
             i0, j0 = queue.pop()
-            lam = d.get(i0, j0)
+            lam = r.get(i0, {}).get(j0, 0)
             if abs(lam) != 1:
                 continue  # stale queue entry
-            # Schur complement on the remaining block.
-            row0 = dict(d.rows.get(i0, {}))
-            col0 = set(d.cols.get(j0, ()))
-            for j in row0:
-                if j == j0:
-                    continue
-                rho = row0[j] * lam  # lam = +-1 is its own inverse
-                for i in col0:
-                    if i == i0:
-                        continue
-                    newv = d.get(i, j) - rho * d.get(i, j0)
-                    d.set(i, j, newv)
-                    if abs(newv) == 1:
-                        queue.append((i, j))
-            d.delete_row(i0)
-            d.delete_col(j0)
+            row0 = _drop_row(r, c, i0)
+            del row0[j0]
+            # Schur complement on the remaining block: row i loses
+            # row_i[j0] / lam times the pivot row, and lam = +-1 is its
+            # own inverse.
+            for i in c.pop(j0):
+                row = r[i]
+                mu = row.pop(j0) * lam
+                for j, v in row0.items():
+                    new = row.get(j, 0) - mu * v
+                    if new:
+                        if j not in row:
+                            c[j].add(i)
+                        row[j] = new
+                        if abs(new) == 1:
+                            queue.append((i, j))
+                    elif j in row:
+                        del row[j]
+                        c[j].discard(i)
+                if not row:
+                    del r[i]
             alive[q].discard(j0)
             alive[q + 1].discard(i0)
             if q > 0:
-                sparse[q - 1].delete_row(j0)
+                _drop_row(rows[q - 1], cols[q - 1], j0)
             if q + 1 < top:
-                sparse[q + 1].delete_col(i0)
+                _drop_col(rows[q + 1], cols[q + 1], i0)
 
     # Dense ranks of whatever survived.
-    ranks = []
-    for q in range(top):
-        d = sparse[q]
-        if not d.rows:
-            ranks.append(0)
-            continue
-        row_ids = sorted(d.rows)
-        col_ids = sorted(alive[q])
-        col_pos = {c: k for k, c in enumerate(col_ids)}
-        dense = []
-        for i in row_ids:
-            row = [0] * len(col_ids)
-            for j, v in d.rows[i].items():
-                row[col_pos[j]] = v
-            dense.append(row)
-        ranks.append(len(rref(dense)[1]))
-    betti = []
-    for q in range(top + 1):
-        rank_out = ranks[q] if q < top else 0
-        rank_in = ranks[q - 1] if q > 0 else 0
-        betti.append(len(alive[q]) - rank_out - rank_in)
-    return betti
+    ranks = [0] * (top + 2)
+    for q, r in enumerate(rows):
+        if r:
+            col_pos = {j: k for k, j in enumerate(sorted(alive[q]))}
+            dense = []
+            for i in sorted(r):
+                row = [0] * len(col_pos)
+                for j, v in r[i].items():
+                    row[col_pos[j]] = v
+                dense.append(row)
+            ranks[q + 1] = len(rref(dense)[1])
+    return [len(alive[q]) - ranks[q] - ranks[q + 1] for q in range(top + 1)]
 
 
 def compose_is_zero(dims: list[int], diffs: list[dict]) -> bool:

@@ -49,12 +49,21 @@ from .polyhedral import (
 from .superforms import balanced_face_cancellation, form_from_terms
 
 
-def _emit(report, out_path=None):
-    text = tio.canonical_json(report)
-    sys.stdout.write(text)
-    if out_path:
-        with open(out_path, "w") as fh:
+def _write(path, text):
+    try:
+        with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write --out {path}: {exc.strerror}") from None
+
+
+def _emit(report, out_path=None):
+    """Write the report to `out_path`, if given, and then to stdout, so a
+    path that cannot be written leaves stdout to the error report."""
+    text = tio.canonical_json(report)
+    if out_path:
+        _write(out_path, text)
+    sys.stdout.write(text)
 
 
 def _load_matroid_arg(args):
@@ -354,9 +363,8 @@ def cmd_corpus(args):
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
         failed += 0 if ok else 1
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(tio.canonical_json(
-                {"results": [{"name": n, "pass": ok} for n, ok in results]}))
+        _write(args.out, tio.canonical_json(
+            {"results": [{"name": n, "pass": ok} for n, ok in results]}))
     return 1 if failed else 0
 
 

@@ -549,17 +549,17 @@ def sort_with_sign(indices) -> tuple[tuple[int, ...], int]:
 
 
 def wedge_vector(vectors) -> Vec:
-    """Coordinates of v_1 ∧ ... ∧ v_p in the lexicographic wedge basis."""
-    vectors = [vec(v) for v in vectors]
-    p = len(vectors)
-    if p == 0:
+    """Coordinates of v_1 ∧ ... ∧ v_p in the lexicographic wedge basis.
+
+    Each vector is cleared to integers once; a coordinate is the integer
+    minor of the cleared rows over the product of their denominators."""
+    cleared = [clear_denominators(v) for v in vectors]
+    if not cleared:
         return (Fraction(1),)
-    m = len(vectors[0])
-    out = []
-    for k in p_subsets(m, p):
-        minor = tuple(tuple(v[i] for i in k) for v in vectors)
-        out.append(det(minor))
-    return tuple(out)
+    rows = [ints for ints, _ in cleared]
+    scale = math.prod(den for _, den in cleared)
+    return tuple(Fraction(idet([[r[i] for i in k] for r in rows]), scale)
+                 for k in p_subsets(len(rows[0]), len(rows)))
 
 
 def wedge_power(s: Subspace, p: int) -> Subspace:

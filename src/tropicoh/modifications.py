@@ -237,7 +237,7 @@ def complete_modification(w: PolyhedralComplex, p: PLFunction
         for _, tau, wt in hung:
             shadow = Polyhedron(r1 - 1,
                                 [v[:-1] for v in tau.vertices],
-                                [vec(ray)[:-1] for ray in tau.rays],
+                                [ray[:-1] for ray in tau.rays],
                                 tau.sedentarity)
             if shadow.key in div_cells and div_cells[shadow.key][1] != wt:
                 raise ModificationError("inconsistent divisor weights")
@@ -265,8 +265,7 @@ def closed_modification(w: PolyhedralComplex, p: PLFunction
 def _drop_coordinate(cell: Polyhedron, i: int) -> Polyhedron:
     keep = [k for k in range(cell.ambient_dim) if k != i]
     verts = [tuple(v[k] for k in keep) for v in cell.vertices]
-    rays = [tuple(vec(ray)[k] for k in keep) for ray in cell.rays]
-    rays = [r for r in rays if not is_zero_vec(vec(r))]
+    rays = [tuple(ray[k] for k in keep) for ray in cell.rays]
     sed = frozenset(k if k < i else k - 1 for k in cell.sedentarity)
     return Polyhedron(cell.ambient_dim - 1, verts, rays, sed)
 

@@ -215,13 +215,8 @@ class Polyhedron:
 
     @cached_property
     def _relint_point(self) -> Vec:
-        p = zero_vec(self.ambient_dim)
-        for v in self.vertices:
-            p = vadd(p, v)
-        p = vscale(Fraction(1, len(self.vertices)), p)
-        for r in self.rays:
-            p = vadd(p, vec(r))
-        return p
+        s, m = _relint_scaled(self)
+        return tuple(Fraction(x, m) for x in s)
 
     def contains_polyhedron(self, other: "Polyhedron") -> bool:
         """Mobile-part containment; both must have the same sedentarity."""
@@ -308,12 +303,9 @@ def stratum_piece(p: Polyhedron, extra: frozenset[int]):
     if not all(any(ray[i] for ray in rays) for i in extra):
         return None
     kill = set(extra)
-    proj = lambda w: tuple(Fraction(0) if i in kill else Fraction(x)
-                           for i, x in enumerate(w))
-    verts = [proj(v) for v in p.vertices]
-    rays = [proj(r) for r in p.rays]
-    rays = [r for r in rays if not is_zero_vec(r)]
-    return Polyhedron(p.ambient_dim, verts, rays, p.sedentarity | extra)
+    proj = lambda w: tuple(0 if i in kill else x for i, x in enumerate(w))
+    return Polyhedron(p.ambient_dim, [proj(v) for v in p.vertices],
+                      [proj(r) for r in p.rays], p.sedentarity | extra)
 
 
 def _stratum_pieces(p: Polyhedron, tropical_coords):
@@ -698,8 +690,8 @@ def fundamental_cycle_boundary(c: PolyhedralComplex):
             omega = list(sigma.orientation)
             if sigma.sedentarity != tau.sedentarity:
                 esc = tau.sedentarity - sigma.sedentarity
-                omega = [tuple(Fraction(0) if i in esc else x
-                               for i, x in enumerate(b)) for b in omega]
+                omega = [tuple(0 if i in esc else x for i, x in enumerate(b))
+                         for b in omega]
             w = wedge_vector(omega)
             w = vscale(c.weight(s) * c.signs[(t, s)], w)
             acc = w if acc is None else vadd(acc, w)
@@ -722,9 +714,8 @@ def star(c: PolyhedralComplex, cell_index: int) -> PolyhedralComplex:
         tau = c.cells[j]
         if tau.sedentarity != base.sedentarity:
             continue
-        rays = [vsub(v, x) for v in tau.vertices] + [vec(r) for r in tau.rays]
+        rays = [vsub(v, x) for v in tau.vertices] + list(tau.rays)
         rays = [tuple(r[i] for i in keep) for r in rays]
-        rays = [r for r in rays if not is_zero_vec(vec(r))]
         cone = Polyhedron(len(keep), [zero_vec(len(keep))], rays)
         maximal.append((cone, c.weight(j)))
     return build_complex(maximal)
@@ -740,10 +731,8 @@ def product(c: PolyhedralComplex, extra_dim: int, tropical: bool
     maximal = []
     for i in c.facet_indices():
         cell = c.cells[i]
-        verts = [tuple(list(v) + [Fraction(0)] * extra_dim)
-                 for v in cell.vertices]
-        rays = [tuple(list(vec(ray)) + [Fraction(0)] * extra_dim)
-                for ray in cell.rays]
+        verts = [v + (0,) * extra_dim for v in cell.vertices]
+        rays = [ray + (0,) * extra_dim for ray in cell.rays]
         for j in new_coords:
             e = unit_vec(r + extra_dim, j)
             rays += [e, vscale(-1, e)]
@@ -768,7 +757,7 @@ def restrict_to_stratum(c: PolyhedralComplex, stratum) -> PolyhedralComplex:
     for i in sorted(c.stratum_maximal.intersection(group)):
         cell = c.cells[i]
         verts = [tuple(v[k] for k in keep) for v in cell.vertices]
-        rays = [tuple(vec(ray)[k] for k in keep) for ray in cell.rays]
+        rays = [tuple(ray[k] for k in keep) for ray in cell.rays]
         maximal.append((Polyhedron(len(keep), verts, rays), c.weight(i)))
     # The open stratum carries no compactification of its own.
     return build_complex(maximal)

@@ -1,6 +1,8 @@
 """The Betti reduction against known answers and its Fraction predecessor."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 from hypothesis import given, settings
@@ -239,6 +241,7 @@ def test_betti_numbers_of_conjugated_sums(case):
     seen, patch = _spy_rref()
     with patch:
         assert betti_numbers(dims, diffs) == known
+    assert _old_betti_numbers(dims, diffs) == known
     # The update never divides, so no float reaches the dense finish.
     assert all(type(x) in (int, F) for rows in seen for r in rows for x in r)
 
@@ -256,6 +259,21 @@ def test_conjugated_sums_reach_every_branch():
     with patch:
         assert betti_numbers(dims, diffs) == known == [1, 0, 0]
     assert any(rows for rows in seen)
+
+
+def test_a_unit_updated_before_it_is_popped_is_skipped():
+    # The queue holds the units (0, 0), (1, 0) and (1, 2) and pops (1, 2)
+    # first; its update turns entry (0, 0) into -3, which must then be
+    # skipped rather than used as a pivot that is its own inverse.
+    d = {(0, 0): -1, (0, 2): -2, (1, 0): 1, (1, 1): 3, (1, 2): -1,
+         (2, 1): -2, (2, 2): 2}
+    assert betti_numbers([3, 3], [d]) == [1, 1]
+    assert _old_betti_numbers([3, 3], [d]) == [1, 1]
+
+
+def test_chains_defines_no_class():
+    tree = ast.parse(Path(chains.__file__).read_text())
+    assert not [n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
 
 
 # -- the engines' differentials -------------------------------------------------

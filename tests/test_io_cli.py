@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from tropicoh import cli
 from tropicoh import io as tio
 from tropicoh.cli import main
 from tropicoh.errors import ParseError, ValidationError
@@ -247,6 +248,33 @@ def test_cli_bad_arguments_are_json_parse_errors(argv, capsys):
 def test_cli_help_exits_zero(capsys):
     assert main(["stokes", "--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: tropicoh stokes")
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_cli_unwritable_out_is_a_parse_error(where, tmp_path, capsys):
+    # The file is written before stdout, so stdout holds only the error.
+    out = {"missing-dir": tmp_path / "no" / "x.json",
+           "directory": tmp_path}[where]
+    code = main(["bergman", "--uniform", "2", "3", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    report = json.loads(captured.out)
+    assert report["error"] == "parse" and str(out) in report["message"]
+    assert captured.err == ""
+
+
+def test_cli_corpus_unwritable_out_is_a_parse_error(tmp_path, capsys,
+                                                    monkeypatch):
+    monkeypatch.setattr(cli, "_corpus_checks", lambda: [("one", lambda: 1)])
+    code = main(["corpus", "--out", str(tmp_path / "no" / "x.json")])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 2
+    assert lines[0] == "PASS  one"
+    assert json.loads("\n".join(lines[1:]))["error"] == "parse"
+    path = tmp_path / "corpus.json"
+    assert main(["corpus", "--out", str(path)]) == 0
+    assert json.loads(path.read_text()) == {
+        "results": [{"name": "one", "pass": True}]}
 
 LINE = {"ambient_dim": 2, "maximal_cells": [
     {"vertices": [["0", "0"]], "rays": [r]}

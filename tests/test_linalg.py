@@ -275,6 +275,44 @@ def test_wedge_vector_empty():
     assert wedge_vector([]) == (F(1),)
 
 
+def _old_wedge_vector(vectors):
+    """`wedge_vector` as it was: every minor through `det`, which clears
+    its rows again."""
+    vectors = [vec(v) for v in vectors]
+    p = len(vectors)
+    if p == 0:
+        return (F(1),)
+    m = len(vectors[0])
+    return tuple(det(tuple(tuple(v[i] for i in k) for v in vectors))
+                 for k in p_subsets(m, p))
+
+
+@st.composite
+def _wedge_factors(draw):
+    """p = 0..m rational vectors in Q^m, sometimes with one a combination
+    of two others (or a multiple of one), so that the wedge vanishes."""
+    m = draw(st.integers(1, 4))
+    p = draw(st.integers(0, m))
+    vectors = [draw(st.lists(_entries, min_size=m, max_size=m))
+               for _ in range(p)]
+    if p > 1 and draw(st.booleans()):
+        i, j, k = draw(st.lists(st.integers(0, p - 1), min_size=3,
+                                max_size=3))
+        a, b = draw(_entries), draw(_entries)
+        vectors[i] = [a * x + b * y for x, y in zip(vectors[j], vectors[k])]
+    return vectors
+
+
+@settings(max_examples=300, deadline=None)
+@given(_wedge_factors())
+@example([[1, 2, 0], [F(1, 2), 1, 0]])       # dependent: every minor is 0
+@example([[F(1, 2), F(1, 3)], [F(-1, 4), 6]])
+def test_wedge_vector_matches_per_minor_det(vectors):
+    w = wedge_vector(vectors)
+    assert w == _old_wedge_vector(vectors)
+    assert _all_fractions([w])
+
+
 # Subspace arithmetic --------------------------------------------------------
 
 

@@ -1428,6 +1428,35 @@ def _rational_cells(draw, dim=None, sed=None):
     return Polyhedron(dim, verts, rays, sed)
 
 
+def _old_relint_point(cell):
+    """`relint_point` as it was: the vertices summed in Fractions, divided
+    by their number, plus the sum of the rays."""
+    p = zero_vec(cell.ambient_dim)
+    for v in cell.vertices:
+        p = vadd(p, v)
+    p = vscale(F(1, len(cell.vertices)), p)
+    for r in cell.rays:
+        p = vadd(p, vec(r))
+    return p
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_memo_cells(), _rational_cells()))
+def test_relint_point_matches_frozen_sum(cell):
+    x = cell.relint_point()
+    assert x == _old_relint_point(cell)
+    assert all(type(t) is F for t in x)
+
+
+def test_constructor_cleans_rays():
+    # Callers hand rays over as they come: int or Fraction entries, zero
+    # rays and positive multiples all give the one interned cell.
+    cell = Polyhedron(2, [(0, 0)], [(1, 0), (0, 0), (F(2), 0), (0, F(1, 3))])
+    assert cell is Polyhedron(2, [(F(0), 0)], [(0, 1), (1, 0)])
+    assert cell.rays == ((0, 1), (1, 0))
+    assert all(type(x) is int for r in cell.rays for x in r)
+
+
 @st.composite
 def _cell_and_functional(draw):
     cell = draw(_rational_cells())
