@@ -70,10 +70,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return tuple(tuple(idot(row, col) for col in bt) for row in a)
 
 
-def mat_shape(m: Mat) -> tuple[int, int]:
-    return (len(m), len(m[0]) if m else 0)
-
-
 def clear_denominators(v) -> tuple[list[int], int]:
     """The integer row d*v and the least common denominator d of v."""
     v = [e if type(e) is int or type(e) is Fraction else Fraction(e)
@@ -280,6 +276,8 @@ class Subspace:
         return rem
 
     def sum(self, *others: "Subspace") -> "Subspace":
+        if not others:
+            return self  # already canonical, and never mutated
         for o in others:
             if o.ambient_dim != self.ambient_dim:
                 raise DimensionError("subspace sum: ambient mismatch")

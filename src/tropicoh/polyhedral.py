@@ -180,6 +180,16 @@ class Polyhedron:
         return tuple(out)
 
     @cached_property
+    def _pieces(self) -> dict:
+        """`stratum_piece` answers by extra-coordinate set: cell or None."""
+        return {}
+
+    @cached_property
+    def _signs(self) -> dict:
+        """`_incidence_sign(tau, self)` answers by `tau.key`."""
+        return {}
+
+    @cached_property
     def _cleared(self) -> tuple[tuple[list[int], int], ...]:
         """Each vertex v as (d*v, d), d its least common denominator."""
         return tuple(clear_denominators(v) for v in self.vertices)
@@ -288,9 +298,18 @@ def stratum_piece(p: Polyhedron, extra: frozenset[int]):
     <= 0 on `extra` and zero on the other mobile coordinates has, for
     each i in `extra`, a ray with a nonzero entry i: the lineality of C
     vanishes on `extra`, and the sum of the rays is the vector.
+
+    Raises DimensionError unless `extra` is a nonempty set of mobile
+    coordinates of p.  The answer is kept on p.
     """
-    if not extra or extra & p.sedentarity:
-        raise ValueError("extra coordinates must be new and nonempty")
+    extra = frozenset(extra)
+    if not extra or any(i in p.sedentarity or not 0 <= i < p.ambient_dim
+                        for i in extra):
+        raise DimensionError(f"extra coordinates {sorted(extra)} are not "
+                             f"new coordinates of T^{p.ambient_dim}")
+    pieces = p._pieces
+    if extra in pieces:
+        return pieces[extra]
     mobile = [i for i in range(p.ambient_dim) if i not in p.sedentarity]
     eqs = [a for a, _ in p.hrep[0]]
     ineqs = [a for a, _ in p.hrep[1]]
@@ -300,12 +319,13 @@ def stratum_piece(p: Polyhedron, extra: frozenset[int]):
         else:
             eqs.append(unit_vec(p.ambient_dim, i))
     _, rays = convex.cone_rays(ineqs, eqs, p.ambient_dim)
-    if not all(any(ray[i] for ray in rays) for i in extra):
-        return None
-    kill = set(extra)
-    proj = lambda w: tuple(0 if i in kill else x for i, x in enumerate(w))
-    return Polyhedron(p.ambient_dim, [proj(v) for v in p.vertices],
-                      [proj(r) for r in p.rays], p.sedentarity | extra)
+    piece = None
+    if all(any(ray[i] for ray in rays) for i in extra):
+        proj = lambda w: tuple(0 if i in extra else x for i, x in enumerate(w))
+        piece = Polyhedron(p.ambient_dim, [proj(v) for v in p.vertices],
+                           [proj(r) for r in p.rays], p.sedentarity | extra)
+    pieces[extra] = piece
+    return piece
 
 
 def _stratum_pieces(p: Polyhedron, tropical_coords):
@@ -444,7 +464,14 @@ def _incidence_sign(tau: Polyhedron, sigma: Polyhedron) -> int:
     has a nonzero minor, det(o_sigma|R) = det M * det((u, o_tau)|R), so two
     integer minors decide it.  R is the pivots of L(tau) plus the first
     column where u is nonzero modulo L(tau).  Everything is in integers.
+
+    The sign depends only on the two point sets (any relative-interior
+    points give the same outward side), so it is kept on sigma by
+    `tau.key`, shared by the cells with tau's key.
     """
+    signs = sigma._signs
+    if tau.key in signs:
+        return signs[tau.key]
     if tau.sedentarity == sigma.sedentarity:
         # A positive multiple of relint(tau) - relint(sigma): minus the
         # primitive normal, scaled up, plus a vector of L(tau), so the
@@ -480,7 +507,8 @@ def _incidence_sign(tau: Polyhedron, sigma: Polyhedron) -> int:
     d = minor(sigma.orientation) * minor((u,) + tau.orientation)
     if d == 0:
         raise ComplexAxiomError("degenerate incidence")
-    return 1 if d > 0 else -1
+    signs[tau.key] = 1 if d > 0 else -1
+    return signs[tau.key]
 
 
 def lattice_quotient(sigma: Polyhedron, tau: Polyhedron) -> Vec:

@@ -2,9 +2,9 @@
 
 Each file loader in `tropicoh.io` either returns its object or raises a
 `TropicohError`, and every CLI verb but `corpus` exits 0, 1 or 2 with
-JSON on stdout.  Inputs are valid files with entries replaced by small
-JSON values (booleans, floats, "-inf", "1/0", nested lists), dropped or
-repeated.
+JSON on stdout; an option value that does not parse exits 2.  Inputs
+are valid files with entries replaced by small JSON values (booleans,
+floats, "-inf", "1/0", nested lists), dropped or repeated.
 """
 
 import contextlib
@@ -143,9 +143,17 @@ class _File:
 
 @st.composite
 def _invocations(draw):
-    """An argument list: a verb, its files and its options.  Every option
-    value parses, so only the files and the numbers they name are
-    malformed."""
+    """(argv, parses): a verb, its files and its options, and whether every
+    option value parses.  Now and then one value does not (`--box y`,
+    `--uniform 2 x`, `--graph -1,0`, `--coordinate z`)."""
+    refused = []
+
+    def value(good, bad):
+        if draw(st.integers(0, 5)) == 0:
+            refused.append(bad)
+            return bad
+        return draw(good)
+
     verb = draw(st.sampled_from([
         "validate", "balanced", "betti", "pd-report", "bergman", "os-dims",
         "modify", "closed-modify", "project", "stokes", "cellsheaf-betti"]))
@@ -157,9 +165,9 @@ def _invocations(draw):
         argv += draw(st.sampled_from(
             [[], ["--compact"], ["--ordinary"], ["--both"]]))
     elif verb == "project":
-        argv += ["--coordinate", draw(_small)]
+        argv += ["--coordinate", value(_small, "z")]
     elif verb == "stokes":
-        argv += ["--box", draw(_small)]
+        argv += ["--box", value(_small, "y")]
         if draw(st.booleans()):
             argv += ["--form", _File(draw(_mutated(FORM)))]
     elif verb in ("bergman", "os-dims"):
@@ -167,23 +175,25 @@ def _invocations(draw):
         if source == "file":
             argv += ["--file", _File(draw(_one_of(MATROIDS)))]
         elif source == "uniform":
-            argv += ["--uniform", draw(_small), draw(_small)]
+            argv += ["--uniform", draw(_small), value(_small, "x")]
         else:
-            # argparse reads "-1,0" as an option, so the ends are >= 0.
+            # argparse reads "-1,0" as an option, so it refuses the value.
             ends = st.integers(0, 3).map(str)
-            argv += ["--graph"] + draw(st.lists(
-                st.tuples(ends, ends).map(",".join), min_size=1, max_size=3))
+            edges = st.lists(st.tuples(ends, ends).map(",".join),
+                             min_size=1, max_size=3)
+            argv += ["--graph"] + value(edges, ["-1,0"])
     elif verb in ("modify", "closed-modify"):
         argv += [_File(draw(_one_of([R1, CLOSED_R1]))),
                  _File(draw(_one_of(FUNCTIONS)))]
     elif verb == "cellsheaf-betti":
         argv.append(_File(draw(_mutated(SHEAF))))
-    return argv
+    return argv, not refused
 
 
 @settings(max_examples=120, deadline=None)
 @given(_invocations())
-def test_cli_exits_with_json_on_malformed_files(argv):
+def test_cli_exits_with_json_on_malformed_files(case):
+    argv, parses = case
     with tempfile.TemporaryDirectory() as tmp:
         args = []
         for arg in argv:
@@ -197,5 +207,6 @@ def test_cli_exits_with_json_on_malformed_files(argv):
             code = main(args)
     assert code in (0, 1, 2)
     report = json.loads(stdout.getvalue())
-    if code == 2:
+    if code == 2 or not parses:
+        assert code == 2
         assert report["error"] == "parse"

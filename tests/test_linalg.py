@@ -23,7 +23,6 @@ from tropicoh.linalg import (
     kernel_basis,
     mat,
     mat_mul,
-    mat_shape,
     mat_transpose,
     p_subsets,
     primitive,
@@ -337,6 +336,28 @@ def test_subspace_sum_properties():
     assert a.sum(a) == a
 
 
+@st.composite
+def _subspace_lists(draw):
+    """One to four random subspaces of one Q^n, as (n, row lists)."""
+    n = draw(st.integers(1, 4))
+    entries = st.one_of(st.integers(-3, 3),
+                        st.builds(F, st.integers(-3, 3), st.integers(1, 3)))
+    row = st.lists(entries, min_size=n, max_size=n)
+    return n, draw(st.lists(st.lists(row, max_size=3), min_size=1,
+                            max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_subspace_lists())
+def test_subspace_sum_is_the_span_of_all_rows(case):
+    # One space is returned as it is; its basis is already canonical.
+    n, row_lists = case
+    total = subspace_sum([Subspace(n, rows) for rows in row_lists])
+    expected = Subspace(n, [r for rows in row_lists for r in rows])
+    assert total == expected
+    assert total.pivots == expected.pivots
+
+
 def _intersection(a, b):
     # x in both spans: the complement of the sum of the complements.
     return a.perp().sum(b.perp()).perp()
@@ -589,6 +610,11 @@ def test_subspace_reduce_is_the_representative_at_pivots(shape_rows, data):
     assert (not any(red)) == inside == space.contains(v)
     with pytest.raises(DimensionError):
         space.reduce(vec([0] * (ncols + 1)))
+
+
+def mat_shape(m):
+    """(rows, columns) of a matrix given as a list of rows."""
+    return (len(m), len(m[0]) if m else 0)
 
 
 def _mat_inverse(m):

@@ -3,6 +3,8 @@
 import ast
 import inspect
 import itertools
+import random
+import sys
 import textwrap
 from fractions import Fraction
 from unittest import mock
@@ -26,6 +28,7 @@ from tropicoh.linalg import (
     Subspace,
     clear_denominators,
     det,
+    idet,
     idot,
     is_zero_vec,
     kernel_basis,
@@ -195,6 +198,34 @@ def test_infinite_faces_composition_consistency():
     step2 = stratum_piece(step1, frozenset({1}))
     assert direct is not None and step2 is not None
     assert direct.key == step2.key
+
+
+_QUADRANT = Polyhedron(2, [(0, 0)], [(-1, 0), (0, -1)])
+
+
+@pytest.mark.parametrize("extra", [{7}, {-1}, {0, 5}, {2}, set()])
+def test_stratum_piece_refuses_coordinates_outside_t_r(extra):
+    # Checked before the memo, so a refused set is refused again and is
+    # never stored.
+    for _ in range(2):
+        with pytest.raises(DimensionError):
+            stratum_piece(_QUADRANT, frozenset(extra))
+    assert all(key and max(key) < 2 and min(key) >= 0
+               for key in _QUADRANT._pieces)
+
+
+def test_stratum_piece_refuses_sedentary_coordinates():
+    at_infinity = stratum_piece(_QUADRANT, frozenset({0}))
+    with pytest.raises(DimensionError):
+        stratum_piece(at_infinity, frozenset({0, 1}))
+    assert stratum_piece(at_infinity, frozenset({1})).sedentarity == {0, 1}
+
+
+def test_infinite_faces_refuse_coordinates_outside_t_r():
+    for coords in ([7], [-1], [0, 5]):
+        with pytest.raises(DimensionError):
+            infinite_faces(_QUADRANT, coords)
+    assert len(infinite_faces(_QUADRANT, [0, 1])) == 5
 
 
 def test_build_tropical_line():
@@ -1044,6 +1075,138 @@ def _fraction_incidence_sign(tau, sigma):
     if d == 0:
         raise ComplexAxiomError("degenerate incidence")
     return 1 if d > 0 else -1
+
+
+def _unmemoized_stratum_piece(p, extra):
+    """`stratum_piece` as it was before its answers were kept on the cell:
+    a double description on every call (valid arguments only)."""
+    mobile = [i for i in range(p.ambient_dim) if i not in p.sedentarity]
+    eqs = [a for a, _ in p.hrep[0]]
+    ineqs = [a for a, _ in p.hrep[1]]
+    for i in mobile:
+        if i in extra:
+            ineqs.append(vscale(-1, unit_vec(p.ambient_dim, i)))
+        else:
+            eqs.append(unit_vec(p.ambient_dim, i))
+    _, rays = convex.cone_rays(ineqs, eqs, p.ambient_dim)
+    if not all(any(ray[i] for ray in rays) for i in extra):
+        return None
+    proj = lambda w: tuple(0 if i in extra else x for i, x in enumerate(w))
+    return Polyhedron(p.ambient_dim, [proj(v) for v in p.vertices],
+                      [proj(r) for r in p.rays], p.sedentarity | extra)
+
+
+def _unmemoized_incidence_sign(tau, sigma):
+    """`_incidence_sign` as it was before its answers were kept on sigma:
+    u from the scaled relative-interior points or -e_j, reduced
+    fraction-free against Z(tau), and two integer minors."""
+    if tau.sedentarity == sigma.sedentarity:
+        st_, mt = polyhedral._relint_scaled(tau)
+        ss, ms = polyhedral._relint_scaled(sigma)
+        u = [ms * x - mt * y for x, y in zip(st_, ss)]
+    else:
+        u = [0] * tau.ambient_dim
+        u[min(tau.sedentarity - sigma.sedentarity)] = -1
+    for p, row in zip(tau.tangent.pivots, tau.lattice.basis):
+        c = u[p]
+        if c:
+            u = [row[p] * x - c * y for x, y in zip(u, row)]
+    extra = next((i for i, x in enumerate(u) if x), None)
+    if extra is None:
+        raise ComplexAxiomError("degenerate incidence")
+    cols = sorted(tau.tangent.pivots + (extra,))
+
+    def minor(rows):
+        return idet([[r[i] for i in cols] for r in rows])
+
+    d = minor(sigma.orientation) * minor((u,) + tau.orientation)
+    if d == 0:
+        raise ComplexAxiomError("degenerate incidence")
+    return 1 if d > 0 else -1
+
+
+def _memo_queries(c):
+    """Every piece query on the cells of c (each nonempty set of mobile
+    coordinates) and every sign query on its covers."""
+    for p in c.cells:
+        mobile = [i for i in range(p.ambient_dim) if i not in p.sedentarity]
+        for k in range(1, len(mobile) + 1):
+            for extra in itertools.combinations(mobile, k):
+                yield "piece", p, frozenset(extra)
+    for t, s in c.covers:
+        yield "sign", c.cells[t], c.cells[s]
+
+
+def _assert_memos_match_unmemoized(queries):
+    for kind, a, b in queries:
+        if kind == "piece":
+            assert stratum_piece(a, b) is _unmemoized_stratum_piece(a, b), \
+                (a, b)
+        else:
+            assert polyhedral._incidence_sign(a, b) == \
+                _unmemoized_incidence_sign(a, b), (a, b)
+
+
+# A line and its half-plane toward y = -inf, each from two
+# V-representations: the twins are distinct cells with equal key.
+_LINE = Polyhedron(2, [(0, 0)], [(1, 0), (-1, 0)])
+_LINE_TWIN = Polyhedron(2, [(0, 0), (1, 0)], [(1, 0), (-1, 0)])
+_HALF = Polyhedron(2, [(0, 0)], [(1, 0), (-1, 0), (0, -1)])
+_HALF_TWIN = Polyhedron(2, [(0, 0), (2, 0)], [(1, 0), (-1, 0), (0, -1)])
+
+
+def test_memos_match_unmemoized_on_build_cases_and_twins():
+    assert _LINE is not _LINE_TWIN and _LINE.key == _LINE_TWIN.key
+    assert _HALF is not _HALF_TWIN and _HALF.key == _HALF_TWIN.key
+    queries = [q for name in sorted(_BUILD_CASES)
+               for q in _memo_queries(_BUILD_CASES[name]())]
+    for cell in (_LINE, _LINE_TWIN, _HALF, _HALF_TWIN):
+        queries += [("piece", cell, frozenset(e)) for e in ({0}, {1}, {0, 1})]
+    queries += [("sign", tau, sigma) for tau in (_LINE, _LINE_TWIN)
+                for sigma in (_HALF, _HALF_TWIN)]
+    queries += [("sign", stratum_piece(sigma, frozenset({1})), sigma)
+                for sigma in (_HALF, _HALF_TWIN)]
+    random.Random(2718).shuffle(queries)
+    _assert_memos_match_unmemoized(queries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_closed_cones(), st.randoms(use_true_random=False))
+def test_memos_match_unmemoized_on_closed_cones(cone, rng):
+    try:
+        c = build_complex([cone], tropical_coords=[0, 1, 2])
+    except ComplexAxiomError:
+        assume(False)
+    queries = list(_memo_queries(c))
+    rng.shuffle(queries)
+    _assert_memos_match_unmemoized(queries)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: closure_in(bergman_fan(uniform_matroid(3, 4)), [0, 2]),
+    lambda: product(bergman_fan(uniform_matroid(2, 3)), 2, tropical=True),
+], ids=["closure", "product"])
+def test_rebuilt_complex_reads_pieces_and_signs_off_its_cells(
+        build, monkeypatch):
+    first = build()
+    piece_rays, minors = [], []
+    cone_rays, count_idet = convex.cone_rays, polyhedral.idet
+
+    def counting_cone_rays(*args):
+        if sys._getframe(1).f_code.co_name == "stratum_piece":
+            piece_rays.append(args)
+        return cone_rays(*args)
+
+    def counting_idet(rows):
+        minors.append(rows)
+        return count_idet(rows)
+
+    monkeypatch.setattr(convex, "cone_rays", counting_cone_rays)
+    monkeypatch.setattr(polyhedral, "idet", counting_idet)
+    second = build()
+    assert [c.key for c in second.cells] == [c.key for c in first.cells]
+    assert second.signs == first.signs
+    assert piece_rays == [] and minors == []
 
 
 _SIGN_FANS = {
