@@ -142,7 +142,10 @@ def multitangent_space(c: PolyhedralComplex, cell_index: int, p: int
     """F_p(sigma): sum of p-th wedge powers of same-sedentarity coface
     tangents, in lexicographic wedge coordinates on the ambient space;
     tangent spaces grow along covers, so the cofaces maximal in sigma's
-    stratum span it."""
+    stratum span it.
+
+    The sum depends only on p and the cofaces summed, so it is kept on
+    sigma by p and their keys, and a rebuilt complex reads it there."""
     cache = c._multitangent_cache
     got = cache.get((cell_index, p))
     if got is not None:
@@ -150,12 +153,17 @@ def multitangent_space(c: PolyhedralComplex, cell_index: int, p: int
     if p < 0:
         raise DimensionError("negative wedge degree")
     cells = c.cells
-    sed = c.cell(cell_index).sedentarity
-    pieces = [cells[j].wedge_powers[p]
-              for j in c.cofaces(cell_index) & c.stratum_maximal
-              if cells[j].sedentarity == sed and p <= cells[j].dim]
-    out = (subspace_sum(pieces) if pieces
-           else Subspace(math.comb(c.ambient_dim, p), ()))
+    sigma = c.cell(cell_index)
+    tops = [cells[j] for j in c.cofaces(cell_index) & c.stratum_maximal
+            if cells[j].sedentarity == sigma.sedentarity
+            and p <= cells[j].dim]
+    memo = sigma._multitangent
+    key = (p, frozenset(t.key for t in tops))
+    out = memo.get(key)
+    if out is None:
+        out = (subspace_sum([t.wedge_powers[p] for t in tops]) if tops
+               else Subspace(math.comb(c.ambient_dim, p), ()))
+        memo[key] = out
     cache[(cell_index, p)] = out
     return out
 

@@ -20,6 +20,7 @@ from .errors import (
     ComplexAxiomError,
     DimensionError,
     PurityError,
+    ValidationError,
 )
 from .linalg import (
     Lattice,
@@ -187,6 +188,24 @@ class Polyhedron:
     @cached_property
     def _signs(self) -> dict:
         """`_incidence_sign(tau, self)` answers by `tau.key`."""
+        return {}
+
+    @cached_property
+    def _pairs(self) -> set:
+        """Keys of the cells that `_validate_intersections` found to meet
+        this one in a common face, or not at all."""
+        return set()
+
+    @cached_property
+    def _normals(self) -> dict:
+        """`lattice_quotient(self, tau)` answers by `id(tau)`, each held
+        as (tau, normal) so that tau, and with it its id, stays alive."""
+        return {}
+
+    @cached_property
+    def _multitangent(self) -> dict:
+        """F_p sums of `cohomology.multitangent_space` by (p, the keys of
+        the cofaces summed)."""
         return {}
 
     @cached_property
@@ -522,7 +541,13 @@ def lattice_quotient(sigma: Polyhedron, tau: Polyhedron) -> Vec:
     returned reduced against Z(tau), a canonical representative of its
     class.  Raises CodimensionError for any other tau, such as a face of
     another sedentarity.
+
+    The normal is kept on sigma by the cell tau itself (not by its key,
+    which may need an H-representation tau never needed otherwise).
     """
+    known = sigma._normals.get(id(tau))
+    if known is not None:
+        return known[1]
     a = None
     if tau.dim == sigma.dim - 1 and sigma.contains_polyhedron(tau):
         # Tight on tau: the greatest value of a.x - b there is zero.
@@ -534,7 +559,9 @@ def lattice_quotient(sigma: Polyhedron, tau: Polyhedron) -> Vec:
     for row in sigma.lattice.basis:
         g, x, y = _xgcd(g, idot(a, row))
         nu = [x * p + y * q for p, q in zip(nu, row)]
-    return tau.lattice.reduce(nu)
+    nu = tau.lattice.reduce(nu)
+    sigma._normals[id(tau)] = (tau, nu)
+    return nu
 
 
 def build_complex(maximal_cells, tropical_coords=()) -> PolyhedralComplex:
@@ -549,7 +576,7 @@ def build_complex(maximal_cells, tropical_coords=()) -> PolyhedralComplex:
         if isinstance(item, Polyhedron):
             entries.append((item, 1))
         else:
-            entries.append((item[0], int(item[1])))
+            entries.append((item[0], _integer_weight(item[1])))
     if not entries:
         raise ComplexAxiomError("a complex needs at least one maximal cell")
     ambient = entries[0][0].ambient_dim
@@ -607,6 +634,15 @@ def build_complex(maximal_cells, tropical_coords=()) -> PolyhedralComplex:
                              signs)
 
 
+def _integer_weight(w) -> int:
+    """A weight as an int: ints and integral Fractions pass; floats,
+    bools and non-integral Fractions raise ValidationError."""
+    if (isinstance(w, (int, Fraction)) and not isinstance(w, bool)
+            and w.denominator == 1):
+        return int(w)
+    raise ValidationError(f"weight {w!r} is not an integer")
+
+
 def _validate_intersections(ordered, dominated, face_keys):
     """Pairwise intersections of stratum-maximal cells must be common faces:
     their keys must lie in the face sets the closure recorded for both cells
@@ -616,6 +652,8 @@ def _validate_intersections(ordered, dominated, face_keys):
     polyhedra; Fulton, Introduction to Toric Varieties, 1.2): see
     `_certified`.  A pair that no functional settles in either order is
     intersected, and raises unless the intersection is a common face.
+    A pair that passes is kept on both cells, so a rebuilt complex skips
+    it; one that raises is kept nowhere.
     """
     cells = {c.key: c for c in ordered}
     by_sed: dict = {}
@@ -624,18 +662,24 @@ def _validate_intersections(ordered, dominated, face_keys):
             by_sed.setdefault(c.sedentarity, []).append(c)
     for group in by_sed.values():
         for a, b in itertools.combinations(group, 2):
+            if b.key in a._pairs or a.key in b._pairs:
+                continue
             # The face sets also hold stratum pieces; only faces of a's
             # sedentarity can be the intersection.
             common = (cells[k] for k in face_keys[a.key] & face_keys[b.key])
             face = max((f for f in common if f.sedentarity == a.sedentarity),
                        key=lambda f: f.dim, default=None)
-            if _certified(a, b, face) or _certified(b, a, face):
-                continue
-            inter = intersect(a, b)
-            if inter is not None and not (inter.key in face_keys[a.key]
-                                          and inter.key in face_keys[b.key]):
-                raise ComplexAxiomError(
-                    f"intersection of {a} and {b} is not a common face")
+            if not (_certified(a, b, face) or _certified(b, a, face)):
+                inter = intersect(a, b)
+                if inter is not None and not (
+                        inter.key in face_keys[a.key]
+                        and inter.key in face_keys[b.key]):
+                    raise ComplexAxiomError(
+                        f"intersection of {a} and {b} is not a common face")
+            # The verdict depends only on the two point sets.  Either cell
+            # may come back as a twin with its key, so both record it.
+            a._pairs.add(b.key)
+            b._pairs.add(a.key)
 
 
 def _certified(a: Polyhedron, b: Polyhedron, face) -> bool:

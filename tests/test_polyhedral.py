@@ -3,6 +3,7 @@
 import ast
 import inspect
 import itertools
+import math
 import random
 import sys
 import textwrap
@@ -14,8 +15,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tropicoh import convex, polyhedral
-from tropicoh.cohomology import multitangent_space
-from tropicoh.errors import ComplexAxiomError, DimensionError
+from tropicoh.cohomology import build_sheaf, multitangent_space
+from tropicoh.errors import (
+    CodimensionError,
+    ComplexAxiomError,
+    DimensionError,
+    ValidationError,
+)
 from tropicoh.matroids import bergman_fan, graphic_matroid, uniform_matroid
 from tropicoh.modifications import (
     MAX,
@@ -36,12 +42,14 @@ from tropicoh.linalg import (
     primitive,
     rref,
     solve,
+    subspace_sum,
     unit_vec,
     vadd,
     vdot,
     vec,
     vscale,
     vsub,
+    wedge_power,
     zero_vec,
 )
 from tropicoh.polynomial import Poly
@@ -1207,6 +1215,255 @@ def test_rebuilt_complex_reads_pieces_and_signs_off_its_cells(
     assert [c.key for c in second.cells] == [c.key for c in first.cells]
     assert second.signs == first.signs
     assert piece_rays == [] and minors == []
+
+
+# -- validated pairs, facet normals and F_p sums kept on the cell ---------------
+# Frozen copies of the pair check, the facet normal and the F_p sum as they
+# were before their answers were kept on the interned cells.
+
+
+def _unmemoized_pair_ok(a, b):
+    """Whether a and b meet in a common face or not at all, decided as
+    `_validate_intersections` decided it: a certificate in either order,
+    else `intersect`."""
+    face_a, face_b = ({f.key for f in faces(p)} for p in (a, b))
+    face = max((f for f in faces(a) if f.key in face_b),
+               key=lambda f: f.dim, default=None)
+    if polyhedral._certified(a, b, face) or polyhedral._certified(b, a, face):
+        return True
+    inter = intersect(a, b)
+    return inter is None or (inter.key in face_a and inter.key in face_b)
+
+
+def _pair_ok(a, b):
+    """`_validate_intersections` on a and b with their faces, in that
+    order, the faces dominated."""
+    face_keys = {p.key: {f.key for f in faces(p)} for p in (a, b)}
+    lower = [f for p in (a, b) for f in faces(p)
+             if f.key not in (a.key, b.key)]
+    try:
+        polyhedral._validate_intersections(
+            [a, b] + lower, {f.key for f in lower}, face_keys)
+    except ComplexAxiomError:
+        return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_cell_pairs(), _non_face_pairs()))
+def test_pair_memo_matches_unmemoized(pair):
+    a, b = pair
+    assume(a.key != b.key and a.sedentarity == b.sedentarity)
+    for p, q in (pair, pair[::-1], pair):
+        assert _pair_ok(p, q) == _unmemoized_pair_ok(p, q), (p, q)
+
+
+def _unmemoized_lattice_quotient(sigma, tau):
+    """`lattice_quotient` with no memo: the tight inequality, then
+    extended gcds over the Hermite basis of Z(sigma)."""
+    a = None
+    if tau.dim == sigma.dim - 1 and sigma.contains_polyhedron(tau):
+        a = next((a for a, b in sigma.hrep[1] if tau.side(a, b)[1] == 0),
+                 None)
+    if a is None:
+        raise CodimensionError(f"{tau} is not a facet of {sigma}")
+    g, nu = 0, [0] * sigma.ambient_dim
+    for row in sigma.lattice.basis:
+        g, x, y = polyhedral._xgcd(g, idot(a, row))
+        nu = [x * p + y * q for p, q in zip(nu, row)]
+    return tau.lattice.reduce(nu)
+
+
+def _unmemoized_multitangent(c, i, p):
+    """F_p(c.cells[i]): the sum of the p-th wedge powers of the tangent
+    spaces of its same-sedentarity, stratum-maximal cofaces of dim >= p,
+    each wedge power computed afresh."""
+    sigma = c.cells[i]
+    pieces = [wedge_power(c.cells[j].tangent, p)
+              for j in sorted(c.cofaces(i) & c.stratum_maximal)
+              if c.cells[j].sedentarity == sigma.sedentarity
+              and p <= c.cells[j].dim]
+    if not pieces:
+        return Subspace(math.comb(c.ambient_dim, p), ())
+    return subspace_sum(pieces)
+
+
+def _cell_memo_queries(c):
+    """Pair, normal and F_p queries on a complex: every pair of its cells
+    of one dimension and sedentarity (a build validates only the pairs of
+    stratum-maximal cells), every (sigma, tau) with tau one dimension
+    down (facets and non-facets), every F_p up to n + 1."""
+    for a, b in itertools.combinations(c.cells, 2):
+        if a.dim == b.dim and a.sedentarity == b.sedentarity:
+            yield "pair", a, b
+    for sigma in c.cells:
+        for tau in c.cells:
+            if tau.dim == sigma.dim - 1:
+                yield "normal", sigma, tau
+    for i in range(len(c.cells)):
+        for p in range(c.n + 2):
+            yield "sum", c, (i, p)
+
+
+def _normal_or_error(lq, sigma, tau):
+    try:
+        return lq(sigma, tau)
+    except CodimensionError:
+        return CodimensionError
+
+
+def _assert_cell_memos_match_unmemoized(queries):
+    for kind, a, b in queries:
+        if kind == "pair":
+            assert _pair_ok(a, b) == _unmemoized_pair_ok(a, b), (a, b)
+        elif kind == "normal":
+            assert _normal_or_error(lattice_quotient, a, b) == \
+                _normal_or_error(_unmemoized_lattice_quotient, a, b), (a, b)
+        else:
+            assert multitangent_space(a, *b) == \
+                _unmemoized_multitangent(a, *b), (a, b)
+
+
+def _stokes_cells(rng):
+    """Bounded cells as in the Stokes suite: random rational simplices and
+    prisms in dimensions 1 to 3."""
+    out = []
+    for n in (1, 2, 3):
+        while len(out) < 2 * n:
+            verts = [tuple(F(rng.randint(-6, 6), rng.randint(1, 2))
+                           for _ in range(n)) for _ in range(n + 1)]
+            cell = Polyhedron(n, verts)
+            if cell.dim == n:
+                out.append(cell)
+                heights = (F(rng.randint(-3, 0)), F(rng.randint(1, 4)))
+                out.append(Polyhedron(n + 1, [v + (h,) for v in verts
+                                              for h in heights]))
+    return out
+
+
+# A square, the twin of its bottom edge, a parallel edge outside it and a
+# diagonal inside it: one facet with two V-representations, two non-facets.
+_SQUARE = Polyhedron(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
+_BOTTOM_TWIN = Polyhedron(2, [(0, 0), (1, 0), (F(1, 2), 0)])
+_ABOVE = Polyhedron(2, [(0, 2), (1, 2)])
+_DIAGONAL = Polyhedron(2, [(0, 0), (1, 1)])
+_UPPER = Polyhedron(2, [(0, 0)], [(1, 0), (-1, 0), (0, 1)])
+# Cells that meet _HALF outside a common face.
+_IN_HALF = Polyhedron(2, [(0, -1)], [(1, 0), (0, -1)])
+_CROSSING = Polyhedron(2, [(0, 1), (0, -1)])
+
+
+def _twin_queries():
+    queries = []
+    for half in (_HALF, _HALF_TWIN):
+        for other in (_UPPER, _IN_HALF, _CROSSING):
+            queries += [("pair", half, other), ("pair", other, half)]
+    for sigma in (_SQUARE, _HALF, _HALF_TWIN):
+        for tau in (sigma.facets + (_BOTTOM_TWIN, _ABOVE, _DIAGONAL, _LINE,
+                                    _LINE_TWIN)):
+            queries.append(("normal", sigma, tau))
+    for half in (_HALF, _HALF_TWIN):
+        c = build_complex([half, _UPPER])
+        queries += [("sum", c, (i, p)) for i in range(len(c.cells))
+                    for p in range(3)]
+    return queries
+
+
+def test_cell_memos_match_unmemoized_on_build_cases_and_twins():
+    assert _BOTTOM_TWIN is not _SQUARE.facets[0]
+    assert _BOTTOM_TWIN.key in {f.key for f in _SQUARE.facets}
+    builds = dict(_BUILD_CASES, **{
+        "bergman-u25": lambda: bergman_fan(uniform_matroid(2, 5)),
+        "product-u23-t2": lambda: product(
+            bergman_fan(uniform_matroid(2, 3)), 2, tropical=True),
+        "closure-u24": lambda: closure_in(
+            bergman_fan(uniform_matroid(2, 4)), [0, 1])})
+    # Each complex twice, so that the second one's queries read the memos.
+    queries = [q for name in sorted(builds) for _ in range(2)
+               for q in _cell_memo_queries(builds[name]())]
+    rng = random.Random(2718)
+    for cell in _stokes_cells(rng):
+        queries += [("normal", cell, tau) for tau in cell.facets]
+        queries += [("normal", cell, tau) for f in cell.facets
+                    for tau in f.facets]
+    queries += _twin_queries() * 2
+    rng.shuffle(queries)
+    _assert_cell_memos_match_unmemoized(queries)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_closed_cones(), st.randoms(use_true_random=False))
+def test_cell_memos_match_unmemoized_on_closed_cones(cone, rng):
+    try:
+        c = build_complex([cone], tropical_coords=[0, 1, 2])
+    except ComplexAxiomError:
+        assume(False)
+    queries = list(_cell_memo_queries(c)) * 2
+    queries += _cell_memo_queries(
+        build_complex([cone], tropical_coords=[0, 1, 2]))
+    rng.shuffle(queries)
+    _assert_cell_memos_match_unmemoized(queries)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: bergman_fan(uniform_matroid(3, 4)),
+    lambda: closure_in(bergman_fan(uniform_matroid(3, 4)), [0, 2]),
+    lambda: product(bergman_fan(uniform_matroid(2, 3)), 2, tropical=True),
+], ids=["fan", "closure", "product"])
+def test_rebuilt_complex_validates_normals_and_sums_nothing(
+        build, monkeypatch):
+    def use(c):
+        # Balancing reads the facet normals, the sheaves the F_p sums.
+        sheaves = [build_sheaf(c, p) for p in range(c.n + 1)]
+        return ([(d.cells, d.cover_maps) for d in sheaves], is_balanced(c))
+
+    first = build()
+    before = use(first)
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for holder, name in ((polyhedral, "_certified"), (polyhedral, "intersect"),
+                         (polyhedral, "_xgcd"), (Subspace, "sum")):
+        monkeypatch.setattr(holder, name,
+                            counting(name, getattr(holder, name)))
+    second = build()
+    assert [c.key for c in second.cells] == [c.key for c in first.cells]
+    assert use(second) == before
+    assert calls == []
+
+
+_INVALID_PAIRS = dict(_BAD_OVERLAPS, **{
+    "crossing": lambda: build_complex([Polyhedron(2, [(0, 0), (2, 2)]),
+                                       Polyhedron(2, [(0, 2), (2, 0)])]),
+    "inside-twin": lambda: build_complex([_HALF_TWIN, _IN_HALF]),
+})
+
+
+@pytest.mark.parametrize("name", sorted(_INVALID_PAIRS))
+def test_invalid_pair_raises_on_every_build(name):
+    # A pair that fails is kept on neither cell, so it fails again, also
+    # after one of its cells passed in a valid complex.
+    build_complex([_HALF, _UPPER])
+    for _ in range(3):
+        with pytest.raises(ComplexAxiomError):
+            _INVALID_PAIRS[name]()
+
+
+def test_build_complex_refuses_non_integer_weights():
+    # Weights are integers: anything else is refused, never truncated.
+    right = Polyhedron(1, [(0,)], [(1,)])
+    left = Polyhedron(1, [(0,)], [(-1,)])
+    for w in (1.5, 2.0, F(3, 2), True, "2", None):
+        with pytest.raises(ValidationError):
+            build_complex([(right, w), (left, w)])
+    c = build_complex([(right, F(6, 3)), (left, 3)])
+    assert sorted(c.weights.values()) == [2, 3]
+    assert all(type(w) is int for w in c.weights.values())
 
 
 _SIGN_FANS = {
