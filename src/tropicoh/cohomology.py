@@ -145,7 +145,10 @@ def multitangent_space(c: PolyhedralComplex, cell_index: int, p: int
     stratum span it.
 
     The sum depends only on p and the cofaces summed, so it is kept on
-    sigma by p and their keys, and a rebuilt complex reads it there."""
+    sigma by p and their keys, and a rebuilt complex reads it there.  The
+    complex's own cache by (index, p) answers the repeats within one
+    sheaf build (each cover asks for both of its cells again) without
+    listing the cofaces."""
     cache = c._multitangent_cache
     got = cache.get((cell_index, p))
     if got is not None:

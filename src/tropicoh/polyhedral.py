@@ -198,8 +198,8 @@ class Polyhedron:
 
     @cached_property
     def _normals(self) -> dict:
-        """`lattice_quotient(self, tau)` answers by `id(tau)`, each held
-        as (tau, normal) so that tau, and with it its id, stays alive."""
+        """`lattice_quotient(self, tau)` answers by `id(tau)`: `_interned`
+        keeps every cell alive, so no other cell takes that id."""
         return {}
 
     @cached_property
@@ -547,7 +547,7 @@ def lattice_quotient(sigma: Polyhedron, tau: Polyhedron) -> Vec:
     """
     known = sigma._normals.get(id(tau))
     if known is not None:
-        return known[1]
+        return known
     a = None
     if tau.dim == sigma.dim - 1 and sigma.contains_polyhedron(tau):
         # Tight on tau: the greatest value of a.x - b there is zero.
@@ -560,7 +560,7 @@ def lattice_quotient(sigma: Polyhedron, tau: Polyhedron) -> Vec:
         g, x, y = _xgcd(g, idot(a, row))
         nu = [x * p + y * q for p, q in zip(nu, row)]
     nu = tau.lattice.reduce(nu)
-    sigma._normals[id(tau)] = (tau, nu)
+    sigma._normals[id(tau)] = nu
     return nu
 
 

@@ -837,8 +837,17 @@ def _oracle_validate_intersections(ordered, dominated, face_keys):
 _VALIDATE = polyhedral._validate_intersections
 
 
+def _forget_pairs(cells):
+    """Drop the validated pairs kept on interned cells, which outlive a
+    test, so that the next build decides every pair of them afresh."""
+    for cell in cells:
+        cell.__dict__.pop("_pairs", None)
+
+
 def _validate_both(ordered, dominated, face_keys):
-    """Run the validator and the oracle on one closure; they must agree."""
+    """Run the validator and the oracle on one closure; they must agree.
+    The validator decides every pair afresh, not from an earlier build."""
+    _forget_pairs(ordered)
     verdicts = []
     for validate in (_VALIDATE, _oracle_validate_intersections):
         try:
@@ -904,20 +913,29 @@ def test_certificates_reject_bad_overlaps(name):
 
 
 def test_certified_pairs_skip_intersect(monkeypatch):
-    calls = []
-    real = polyhedral.intersect
+    calls, certified = [], []
+    real, real_certified = polyhedral.intersect, polyhedral._certified
 
     def counting(a, b):
         calls.append((a, b))
         return real(a, b)
 
+    def counting_certified(a, b, face):
+        certified.append((a, b))
+        return real_certified(a, b, face)
+
     monkeypatch.setattr(polyhedral, "intersect", counting)
+    monkeypatch.setattr(polyhedral, "_certified", counting_certified)
     for build in (lambda: bergman_fan(uniform_matroid(3, 4)),
                   lambda: bergman_fan(uniform_matroid(2, 5)),
                   lambda: build_complex([Polyhedron(1, [(0,), (1,)]),
                                          Polyhedron(1, [(2,), (3,)])])):
+        # An earlier build may have kept every pair on the cells; forget
+        # them, so the certificates settle each pair here.
+        _forget_pairs(build().cells)
+        certified.clear()
         build()
-        assert calls == []
+        assert certified and calls == []
     # Crossing segments: no half-space separates them, so they fall back.
     with pytest.raises(ComplexAxiomError):
         build_complex([Polyhedron(2, [(0, 0), (2, 2)]),
