@@ -144,11 +144,9 @@ def multitangent_space(c: PolyhedralComplex, cell_index: int, p: int
     tangent spaces grow along covers, so the cofaces maximal in sigma's
     stratum span it.
 
-    The sum depends only on p and the cofaces summed, so it is kept on
-    sigma by p and their keys, and a rebuilt complex reads it there.  The
-    complex's own cache by (index, p) answers the repeats within one
-    sheaf build (each cover asks for both of its cells again) without
-    listing the cofaces."""
+    The complex keeps each answer by (index, p): one sheaf build asks for
+    a cell's space again at every cover it is in, and a rebuilt complex
+    is the interned one, so it reads them there too."""
     cache = c._multitangent_cache
     got = cache.get((cell_index, p))
     if got is not None:
@@ -156,17 +154,12 @@ def multitangent_space(c: PolyhedralComplex, cell_index: int, p: int
     if p < 0:
         raise DimensionError("negative wedge degree")
     cells = c.cells
-    sigma = c.cell(cell_index)
-    tops = [cells[j] for j in c.cofaces(cell_index) & c.stratum_maximal
-            if cells[j].sedentarity == sigma.sedentarity
-            and p <= cells[j].dim]
-    memo = sigma._multitangent
-    key = (p, frozenset(t.key for t in tops))
-    out = memo.get(key)
-    if out is None:
-        out = (subspace_sum([t.wedge_powers[p] for t in tops]) if tops
-               else Subspace(math.comb(c.ambient_dim, p), ()))
-        memo[key] = out
+    sed = c.cell(cell_index).sedentarity
+    pieces = [cells[j].wedge_powers[p]
+              for j in c.cofaces(cell_index) & c.stratum_maximal
+              if cells[j].sedentarity == sed and p <= cells[j].dim]
+    out = (subspace_sum(pieces) if pieces
+           else Subspace(math.comb(c.ambient_dim, p), ()))
     cache[(cell_index, p)] = out
     return out
 

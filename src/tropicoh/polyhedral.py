@@ -13,6 +13,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 from . import convex
 from .errors import (
@@ -186,26 +187,9 @@ class Polyhedron:
         return {}
 
     @cached_property
-    def _signs(self) -> dict:
-        """`_incidence_sign(tau, self)` answers by `tau.key`."""
-        return {}
-
-    @cached_property
-    def _pairs(self) -> set:
-        """Keys of the cells that `_validate_intersections` found to meet
-        this one in a common face, or not at all."""
-        return set()
-
-    @cached_property
     def _normals(self) -> dict:
         """`lattice_quotient(self, tau)` answers by `id(tau)`: `_interned`
         keeps every cell alive, so no other cell takes that id."""
-        return {}
-
-    @cached_property
-    def _multitangent(self) -> dict:
-        """F_p sums of `cohomology.multitangent_space` by (p, the keys of
-        the cofaces summed)."""
         return {}
 
     @cached_property
@@ -376,7 +360,11 @@ def intersect(a: Polyhedron, b: Polyhedron):
 
 
 class PolyhedralComplex:
-    """A face-closed weighted rational polyhedral complex in T^r."""
+    """A face-closed weighted rational polyhedral complex in T^r.
+
+    `build_complex` interns complexes like cells, so everything derived
+    from one is computed once and kept on it, and every caller of one
+    input shares it: `weights` and `signs` are read-only mappings."""
 
     def __init__(self, ambient_dim, tropical_coords, cells, covers, weights,
                  signs):
@@ -384,8 +372,8 @@ class PolyhedralComplex:
         self.tropical_coords = frozenset(tropical_coords)
         self.cells = tuple(cells)
         self.covers = tuple(sorted(covers))
-        self.weights = dict(weights)
-        self.signs = dict(signs)
+        self.weights = MappingProxyType(dict(weights))
+        self.signs = MappingProxyType(dict(signs))
         self._index = {c.key: i for i, c in enumerate(self.cells)}
         self._multitangent_cache: dict = {}  # (cell index, p) -> Subspace
 
@@ -483,14 +471,9 @@ def _incidence_sign(tau: Polyhedron, sigma: Polyhedron) -> int:
     has a nonzero minor, det(o_sigma|R) = det M * det((u, o_tau)|R), so two
     integer minors decide it.  R is the pivots of L(tau) plus the first
     column where u is nonzero modulo L(tau).  Everything is in integers.
-
-    The sign depends only on the two point sets (any relative-interior
-    points give the same outward side), so it is kept on sigma by
-    `tau.key`, shared by the cells with tau's key.
+    A complex computes the sign of each cover once, in `build_complex`,
+    and keeps it in `signs`.
     """
-    signs = sigma._signs
-    if tau.key in signs:
-        return signs[tau.key]
     if tau.sedentarity == sigma.sedentarity:
         # A positive multiple of relint(tau) - relint(sigma): minus the
         # primitive normal, scaled up, plus a vector of L(tau), so the
@@ -526,8 +509,7 @@ def _incidence_sign(tau: Polyhedron, sigma: Polyhedron) -> int:
     d = minor(sigma.orientation) * minor((u,) + tau.orientation)
     if d == 0:
         raise ComplexAxiomError("degenerate incidence")
-    signs[tau.key] = 1 if d > 0 else -1
-    return signs[tau.key]
+    return 1 if d > 0 else -1
 
 
 def lattice_quotient(sigma: Polyhedron, tau: Polyhedron) -> Vec:
@@ -543,7 +525,11 @@ def lattice_quotient(sigma: Polyhedron, tau: Polyhedron) -> Vec:
     another sedentarity.
 
     The normal is kept on sigma by the cell tau itself (not by its key,
-    which may need an H-representation tau never needed otherwise).
+    which may need an H-representation tau never needed otherwise).  A
+    complex built again is the interned one, so this memo serves the
+    callers that come back without it: other complexes that share the
+    cells, such as the graph and the cycle of a modification, and
+    `boundary_integral` on a bare cell.
     """
     known = sigma._normals.get(id(tau))
     if known is not None:
@@ -570,17 +556,30 @@ def build_complex(maximal_cells, tropical_coords=()) -> PolyhedralComplex:
     `tropical_coords` lists the coordinates compactified to -infinity;
     faces at infinity are generated along them.  Raises ComplexAxiomError
     when cells overlap badly or one listed maximal cell lies in another.
+
+    Complexes are interned: the same input returns the same complex.  The
+    input is the V-signature and weight of each maximal cell, in order,
+    and the set of tropical coordinates, so a twin cell (another
+    V-representation of one point set) gives another complex.  A build
+    that raises is not kept, so it raises again.
     """
-    entries = []
+    signature = []
     for item in maximal_cells:
-        if isinstance(item, Polyhedron):
-            entries.append((item, 1))
-        else:
-            entries.append((item[0], _integer_weight(item[1])))
+        c, w = ((item, 1) if isinstance(item, Polyhedron)
+                else (item[0], _integer_weight(item[1])))
+        signature.append((c.ambient_dim, c.sedentarity, c.vertices, c.rays,
+                          w))
+    return _interned_complex(tuple(signature), frozenset(tropical_coords))
+
+
+@lru_cache(maxsize=None)
+def _interned_complex(signature, tropical) -> PolyhedralComplex:
+    """The one complex of a `build_complex` input: the memo for every
+    complex.  Each V-signature names the caller's interned cell."""
+    entries = [(_interned(*sig[:4]), sig[4]) for sig in signature]
     if not entries:
         raise ComplexAxiomError("a complex needs at least one maximal cell")
     ambient = entries[0][0].ambient_dim
-    tropical = frozenset(tropical_coords)
     for c, _ in entries:
         if c.ambient_dim != ambient:
             raise ComplexAxiomError("mixed ambient dimensions")
@@ -652,8 +651,8 @@ def _validate_intersections(ordered, dominated, face_keys):
     polyhedra; Fulton, Introduction to Toric Varieties, 1.2): see
     `_certified`.  A pair that no functional settles in either order is
     intersected, and raises unless the intersection is a common face.
-    A pair that passes is kept on both cells, so a rebuilt complex skips
-    it; one that raises is kept nowhere.
+    Each pair is decided once per distinct input of `build_complex`,
+    which returns the interned complex for an input it has built before.
     """
     cells = {c.key: c for c in ordered}
     by_sed: dict = {}
@@ -662,8 +661,6 @@ def _validate_intersections(ordered, dominated, face_keys):
             by_sed.setdefault(c.sedentarity, []).append(c)
     for group in by_sed.values():
         for a, b in itertools.combinations(group, 2):
-            if b.key in a._pairs or a.key in b._pairs:
-                continue
             # The face sets also hold stratum pieces; only faces of a's
             # sedentarity can be the intersection.
             common = (cells[k] for k in face_keys[a.key] & face_keys[b.key])
@@ -676,10 +673,6 @@ def _validate_intersections(ordered, dominated, face_keys):
                         and inter.key in face_keys[b.key]):
                     raise ComplexAxiomError(
                         f"intersection of {a} and {b} is not a common face")
-            # The verdict depends only on the two point sets.  Either cell
-            # may come back as a twin with its key, so both record it.
-            a._pairs.add(b.key)
-            b._pairs.add(a.key)
 
 
 def _certified(a: Polyhedron, b: Polyhedron, face) -> bool:
@@ -752,6 +745,7 @@ def fundamental_cycle_boundary(c: PolyhedralComplex):
         raise PurityError("the fundamental cycle needs a pure complex")
     n = c.n
     out = {}
+    top = {}  # s -> wedge_vector of its orientation, once per top cell
     for t in c.cells_of_dim(n - 1):
         tau = c.cells[t]
         acc = None
@@ -759,12 +753,15 @@ def fundamental_cycle_boundary(c: PolyhedralComplex):
             sigma = c.cells[s]
             if sigma.dim != n:
                 continue
-            omega = list(sigma.orientation)
-            if sigma.sedentarity != tau.sedentarity:
+            if sigma.sedentarity == tau.sedentarity:
+                if s not in top:
+                    top[s] = wedge_vector(sigma.orientation)
+                w = top[s]
+            else:
                 esc = tau.sedentarity - sigma.sedentarity
-                omega = [tuple(0 if i in esc else x for i, x in enumerate(b))
-                         for b in omega]
-            w = wedge_vector(omega)
+                w = wedge_vector([
+                    tuple(0 if i in esc else x for i, x in enumerate(b))
+                    for b in sigma.orientation])
             w = vscale(c.weight(s) * c.signs[(t, s)], w)
             acc = w if acc is None else vadd(acc, w)
         if acc is not None and not is_zero_vec(acc):

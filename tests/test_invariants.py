@@ -133,21 +133,26 @@ def test_no_module_level_dicts():
 
 
 def test_polyhedral_memo_is_the_interned_cell():
-    # Everything derived from one cell is kept on the interned cell, so
-    # polyhedral holds one lru_cache helper, the interning itself.
+    # Everything derived from one cell is kept on the interned cell, and
+    # everything derived from one complex on the interned complex, so
+    # polyhedral holds two lru_cache helpers, the two internings.  A
+    # rebuilt complex is the earlier one, so no cell keeps answers that
+    # only a complex asks for: pairs, incidence signs and F_p sums.
     helpers = [name for name, value in vars(polyhedral).items()
                if hasattr(value, "cache_info")
                and value.__module__ == polyhedral.__name__]
-    assert helpers == ["_interned"]
+    assert helpers == ["_interned", "_interned_complex"]
     for name in ("_hrep_of", "_tangent_of", "_lattice_of", "_orientation"):
         assert not hasattr(polyhedral, name), name
-    assert not hasattr(Polyhedron, "_signature")
+    for name in ("_signature", "_signs", "_pairs", "_multitangent"):
+        assert not hasattr(Polyhedron, name), name
     assert not hasattr(tropical_line(), "orientations")
 
 
 def test_one_lru_cache_in_the_package():
-    # The interned cell is the package's one lru_cache; every other memo
-    # lives on the cell or the complex it belongs to.
+    # The interned cell and the interned complex are the package's only
+    # lru_caches; every other memo lives on the cell or the complex it
+    # belongs to.
     helpers = []
     for info in pkgutil.iter_modules(tropicoh.__path__):
         module = importlib.import_module(f"tropicoh.{info.name}")
@@ -155,7 +160,7 @@ def test_one_lru_cache_in_the_package():
                     for name, value in vars(module).items()
                     if hasattr(value, "cache_info")
                     and value.__module__ == module.__name__]
-    assert helpers == ["polyhedral._interned"]
+    assert helpers == ["polyhedral._interned", "polyhedral._interned_complex"]
 
 
 def _unused_imports(path):

@@ -3,7 +3,6 @@
 import ast
 import inspect
 import itertools
-import math
 import random
 import sys
 import textwrap
@@ -22,6 +21,7 @@ from tropicoh.errors import (
     DimensionError,
     ValidationError,
 )
+from tropicoh.io import complex_to_dict
 from tropicoh.matroids import bergman_fan, graphic_matroid, uniform_matroid
 from tropicoh.modifications import (
     MAX,
@@ -42,14 +42,12 @@ from tropicoh.linalg import (
     primitive,
     rref,
     solve,
-    subspace_sum,
     unit_vec,
     vadd,
     vdot,
     vec,
     vscale,
     vsub,
-    wedge_power,
     zero_vec,
 )
 from tropicoh.polynomial import Poly
@@ -837,17 +835,8 @@ def _oracle_validate_intersections(ordered, dominated, face_keys):
 _VALIDATE = polyhedral._validate_intersections
 
 
-def _forget_pairs(cells):
-    """Drop the validated pairs kept on interned cells, which outlive a
-    test, so that the next build decides every pair of them afresh."""
-    for cell in cells:
-        cell.__dict__.pop("_pairs", None)
-
-
 def _validate_both(ordered, dominated, face_keys):
-    """Run the validator and the oracle on one closure; they must agree.
-    The validator decides every pair afresh, not from an earlier build."""
-    _forget_pairs(ordered)
+    """Run the validator and the oracle on one closure; they must agree."""
     verdicts = []
     for validate in (_VALIDATE, _oracle_validate_intersections):
         try:
@@ -862,7 +851,10 @@ def _validate_both(ordered, dominated, face_keys):
 
 def _build_with_both_validators(build):
     """The complex `build()` makes with every `build_complex` call checked
-    by both validators, or None when one raises ComplexAxiomError."""
+    by both validators, or None when one raises ComplexAxiomError.
+    Interned complexes outlive a test, so they are dropped first: each
+    call builds its complex afresh, not from an earlier test."""
+    polyhedral._interned_complex.cache_clear()
     with mock.patch.object(polyhedral, "_validate_intersections",
                            _validate_both):
         try:
@@ -930,9 +922,9 @@ def test_certified_pairs_skip_intersect(monkeypatch):
                   lambda: bergman_fan(uniform_matroid(2, 5)),
                   lambda: build_complex([Polyhedron(1, [(0,), (1,)]),
                                          Polyhedron(1, [(2,), (3,)])])):
-        # An earlier build may have kept every pair on the cells; forget
-        # them, so the certificates settle each pair here.
-        _forget_pairs(build().cells)
+        # An earlier test may have built this complex; forget it, so the
+        # certificates settle each pair here.
+        polyhedral._interned_complex.cache_clear()
         certified.clear()
         build()
         assert certified and calls == []
@@ -1230,50 +1222,18 @@ def test_rebuilt_complex_reads_pieces_and_signs_off_its_cells(
     monkeypatch.setattr(convex, "cone_rays", counting_cone_rays)
     monkeypatch.setattr(polyhedral, "idet", counting_idet)
     second = build()
-    assert [c.key for c in second.cells] == [c.key for c in first.cells]
-    assert second.signs == first.signs
+    assert second is first
     assert piece_rays == [] and minors == []
+    # Built afresh from the same cells, a complex reads their pieces.
+    polyhedral._interned_complex.cache_clear()
+    third = build()
+    assert third is not first
+    assert [c.key for c in third.cells] == [c.key for c in first.cells]
+    assert third.signs == first.signs
+    assert piece_rays == []
 
 
-# -- validated pairs, facet normals and F_p sums kept on the cell ---------------
-# Frozen copies of the pair check, the facet normal and the F_p sum as they
-# were before their answers were kept on the interned cells.
-
-
-def _unmemoized_pair_ok(a, b):
-    """Whether a and b meet in a common face or not at all, decided as
-    `_validate_intersections` decided it: a certificate in either order,
-    else `intersect`."""
-    face_a, face_b = ({f.key for f in faces(p)} for p in (a, b))
-    face = max((f for f in faces(a) if f.key in face_b),
-               key=lambda f: f.dim, default=None)
-    if polyhedral._certified(a, b, face) or polyhedral._certified(b, a, face):
-        return True
-    inter = intersect(a, b)
-    return inter is None or (inter.key in face_a and inter.key in face_b)
-
-
-def _pair_ok(a, b):
-    """`_validate_intersections` on a and b with their faces, in that
-    order, the faces dominated."""
-    face_keys = {p.key: {f.key for f in faces(p)} for p in (a, b)}
-    lower = [f for p in (a, b) for f in faces(p)
-             if f.key not in (a.key, b.key)]
-    try:
-        polyhedral._validate_intersections(
-            [a, b] + lower, {f.key for f in lower}, face_keys)
-    except ComplexAxiomError:
-        return False
-    return True
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.one_of(_cell_pairs(), _non_face_pairs()))
-def test_pair_memo_matches_unmemoized(pair):
-    a, b = pair
-    assume(a.key != b.key and a.sedentarity == b.sedentarity)
-    for p, q in (pair, pair[::-1], pair):
-        assert _pair_ok(p, q) == _unmemoized_pair_ok(p, q), (p, q)
+# -- facet normals kept on the cell -------------------------------------------
 
 
 def _unmemoized_lattice_quotient(sigma, tau):
@@ -1292,35 +1252,13 @@ def _unmemoized_lattice_quotient(sigma, tau):
     return tau.lattice.reduce(nu)
 
 
-def _unmemoized_multitangent(c, i, p):
-    """F_p(c.cells[i]): the sum of the p-th wedge powers of the tangent
-    spaces of its same-sedentarity, stratum-maximal cofaces of dim >= p,
-    each wedge power computed afresh."""
-    sigma = c.cells[i]
-    pieces = [wedge_power(c.cells[j].tangent, p)
-              for j in sorted(c.cofaces(i) & c.stratum_maximal)
-              if c.cells[j].sedentarity == sigma.sedentarity
-              and p <= c.cells[j].dim]
-    if not pieces:
-        return Subspace(math.comb(c.ambient_dim, p), ())
-    return subspace_sum(pieces)
-
-
-def _cell_memo_queries(c):
-    """Pair, normal and F_p queries on a complex: every pair of its cells
-    of one dimension and sedentarity (a build validates only the pairs of
-    stratum-maximal cells), every (sigma, tau) with tau one dimension
-    down (facets and non-facets), every F_p up to n + 1."""
-    for a, b in itertools.combinations(c.cells, 2):
-        if a.dim == b.dim and a.sedentarity == b.sedentarity:
-            yield "pair", a, b
+def _normal_queries(c):
+    """Every (sigma, tau) of cells of c with tau one dimension down
+    (facets and non-facets)."""
     for sigma in c.cells:
         for tau in c.cells:
             if tau.dim == sigma.dim - 1:
-                yield "normal", sigma, tau
-    for i in range(len(c.cells)):
-        for p in range(c.n + 2):
-            yield "sum", c, (i, p)
+                yield sigma, tau
 
 
 def _normal_or_error(lq, sigma, tau):
@@ -1330,16 +1268,11 @@ def _normal_or_error(lq, sigma, tau):
         return CodimensionError
 
 
-def _assert_cell_memos_match_unmemoized(queries):
-    for kind, a, b in queries:
-        if kind == "pair":
-            assert _pair_ok(a, b) == _unmemoized_pair_ok(a, b), (a, b)
-        elif kind == "normal":
-            assert _normal_or_error(lattice_quotient, a, b) == \
-                _normal_or_error(_unmemoized_lattice_quotient, a, b), (a, b)
-        else:
-            assert multitangent_space(a, *b) == \
-                _unmemoized_multitangent(a, *b), (a, b)
+def _assert_normals_match_unmemoized(queries):
+    for sigma, tau in queries:
+        assert _normal_or_error(lattice_quotient, sigma, tau) == \
+            _normal_or_error(_unmemoized_lattice_quotient, sigma, tau), \
+            (sigma, tau)
 
 
 def _stokes_cells(rng):
@@ -1366,25 +1299,14 @@ _BOTTOM_TWIN = Polyhedron(2, [(0, 0), (1, 0), (F(1, 2), 0)])
 _ABOVE = Polyhedron(2, [(0, 2), (1, 2)])
 _DIAGONAL = Polyhedron(2, [(0, 0), (1, 1)])
 _UPPER = Polyhedron(2, [(0, 0)], [(1, 0), (-1, 0), (0, 1)])
-# Cells that meet _HALF outside a common face.
+# A cell that meets _HALF outside a common face.
 _IN_HALF = Polyhedron(2, [(0, -1)], [(1, 0), (0, -1)])
-_CROSSING = Polyhedron(2, [(0, 1), (0, -1)])
 
 
 def _twin_queries():
-    queries = []
-    for half in (_HALF, _HALF_TWIN):
-        for other in (_UPPER, _IN_HALF, _CROSSING):
-            queries += [("pair", half, other), ("pair", other, half)]
-    for sigma in (_SQUARE, _HALF, _HALF_TWIN):
-        for tau in (sigma.facets + (_BOTTOM_TWIN, _ABOVE, _DIAGONAL, _LINE,
-                                    _LINE_TWIN)):
-            queries.append(("normal", sigma, tau))
-    for half in (_HALF, _HALF_TWIN):
-        c = build_complex([half, _UPPER])
-        queries += [("sum", c, (i, p)) for i in range(len(c.cells))
-                    for p in range(3)]
-    return queries
+    return [(sigma, tau) for sigma in (_SQUARE, _HALF, _HALF_TWIN)
+            for tau in (sigma.facets + (_BOTTOM_TWIN, _ABOVE, _DIAGONAL,
+                                        _LINE, _LINE_TWIN))]
 
 
 def test_cell_memos_match_unmemoized_on_build_cases_and_twins():
@@ -1396,17 +1318,16 @@ def test_cell_memos_match_unmemoized_on_build_cases_and_twins():
             bergman_fan(uniform_matroid(2, 3)), 2, tropical=True),
         "closure-u24": lambda: closure_in(
             bergman_fan(uniform_matroid(2, 4)), [0, 1])})
-    # Each complex twice, so that the second one's queries read the memos.
+    # Each complex's queries twice, so that the second ones read the memo.
     queries = [q for name in sorted(builds) for _ in range(2)
-               for q in _cell_memo_queries(builds[name]())]
+               for q in _normal_queries(builds[name]())]
     rng = random.Random(2718)
     for cell in _stokes_cells(rng):
-        queries += [("normal", cell, tau) for tau in cell.facets]
-        queries += [("normal", cell, tau) for f in cell.facets
-                    for tau in f.facets]
+        queries += [(cell, tau) for tau in cell.facets]
+        queries += [(cell, tau) for f in cell.facets for tau in f.facets]
     queries += _twin_queries() * 2
     rng.shuffle(queries)
-    _assert_cell_memos_match_unmemoized(queries)
+    _assert_normals_match_unmemoized(queries)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1416,11 +1337,11 @@ def test_cell_memos_match_unmemoized_on_closed_cones(cone, rng):
         c = build_complex([cone], tropical_coords=[0, 1, 2])
     except ComplexAxiomError:
         assume(False)
-    queries = list(_cell_memo_queries(c)) * 2
-    queries += _cell_memo_queries(
+    queries = list(_normal_queries(c)) * 2
+    queries += _normal_queries(
         build_complex([cone], tropical_coords=[0, 1, 2]))
     rng.shuffle(queries)
-    _assert_cell_memos_match_unmemoized(queries)
+    _assert_normals_match_unmemoized(queries)
 
 
 @pytest.mark.parametrize("build", [
@@ -1450,9 +1371,16 @@ def test_rebuilt_complex_validates_normals_and_sums_nothing(
         monkeypatch.setattr(holder, name,
                             counting(name, getattr(holder, name)))
     second = build()
-    assert [c.key for c in second.cells] == [c.key for c in first.cells]
+    assert second is first
     assert use(second) == before
     assert calls == []
+    # Built afresh from the same cells, a complex reads their normals.
+    polyhedral._interned_complex.cache_clear()
+    third = build()
+    assert third is not first
+    assert [c.key for c in third.cells] == [c.key for c in first.cells]
+    assert use(third) == before
+    assert "_xgcd" not in calls
 
 
 _INVALID_PAIRS = dict(_BAD_OVERLAPS, **{
@@ -1482,6 +1410,65 @@ def test_build_complex_refuses_non_integer_weights():
     c = build_complex([(right, F(6, 3)), (left, 3)])
     assert sorted(c.weights.values()) == [2, 3]
     assert all(type(w) is int for w in c.weights.values())
+
+
+# -- interned complexes -------------------------------------------------------
+# The tropical line in T^1 from two half-lines, and the left half-line from
+# a second V-representation: a twin with the same key.
+_RIGHT = Polyhedron(1, [(0,)], [(1,)])
+_LEFT = Polyhedron(1, [(0,)], [(-1,)])
+_LEFT_TWIN = Polyhedron(1, [(0,), (-1,)], [(-1,)])
+_T1 = [(_RIGHT, 1), (_LEFT, 1)]
+
+
+def test_same_input_gives_the_same_complex():
+    c = build_complex(_T1, [0])
+    assert build_complex(list(_T1), {0}) is c
+    # Bare cells weigh 1; integral Fractions are stored as ints; the
+    # constructor returns the same interned cell.
+    assert build_complex([_RIGHT, _LEFT], (0,)) is c
+    assert build_complex([(Polyhedron(1, [(0,)], [(2,)]), F(1)),
+                          (_LEFT, 1)], [0]) is c
+
+
+@pytest.mark.parametrize("maximal, tropical", [
+    ([(_RIGHT, 2), (_LEFT, 1)], [0]),
+    (_T1, []),
+    ([(_RIGHT, 1), (_LEFT_TWIN, 1)], [0]),
+], ids=["weight", "tropical", "twin"])
+def test_changed_input_gives_another_complex(maximal, tropical):
+    assert _LEFT_TWIN is not _LEFT and _LEFT_TWIN.key == _LEFT.key
+    c = build_complex(_T1, [0])
+    other = build_complex(maximal, tropical)
+    assert other is not c
+    # The complex of the input, with the caller's cells themselves.
+    facets = {id(other.cells[i]): other.weight(i)
+              for i in other.facet_indices()}
+    assert facets == {id(cell): w for cell, w in maximal}
+    assert other.tropical_coords == frozenset(tropical)
+
+
+def test_twin_complex_prints_its_own_vertices():
+    # Keyed by cell equality, the twin would get the first complex and
+    # print the vertex list of _LEFT.
+    twin = [(_RIGHT, 1), (_LEFT_TWIN, 1)]
+    polyhedral._interned_complex.cache_clear()
+    build_complex(_T1, [0])
+    after_the_first = complex_to_dict(build_complex(twin, [0]))
+    polyhedral._interned_complex.cache_clear()
+    assert complex_to_dict(build_complex(twin, [0])) == after_the_first
+    assert after_the_first != complex_to_dict(build_complex(_T1, [0]))
+
+
+def test_interned_complex_is_read_only():
+    c = build_complex(_T1, [0])
+    cover = next(iter(c.signs))
+    with pytest.raises(TypeError):
+        c.weights[0] = 5
+    with pytest.raises(TypeError):
+        c.signs[cover] = -c.signs[cover]
+    assert build_complex(_T1, [0]) is c
+    assert set(c.weights.values()) == {1}
 
 
 _SIGN_FANS = {
