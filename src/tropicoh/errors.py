@@ -43,7 +43,8 @@ class ColoopError(TropicohError):
 
 
 class IntegralityError(TropicohError):
-    """A piecewise affine function has a non-integral slope."""
+    """A piecewise affine function has a non-integral slope, or a monomial
+    an exponent that is not an int."""
 
 
 class ModificationError(TropicohError):

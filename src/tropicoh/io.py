@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 
 from .cohomology import SHEAF, COSHEAF, CellularSheafDatum, SheafCell
-from .errors import ParseError
+from .errors import DimensionError, ParseError
 from .matroids import Matroid, matroid_from
 from .modifications import MAX, MIN, PLFunction
 from .polyhedral import NEG_INF, Polyhedron, PolyhedralComplex, build_complex
@@ -132,7 +132,10 @@ def complex_from_dict(data) -> PolyhedralComplex:
             maximal.append((Polyhedron(ambient, verts, rays), weight))
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
-    return build_complex(maximal, tropical_coords=tropical)
+    try:
+        return build_complex(maximal, tropical_coords=tropical)
+    except DimensionError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def load_complex(path) -> PolyhedralComplex:
@@ -276,22 +279,19 @@ def superform_from_dict(data) -> PolySuperform:
         raw_terms = parse_list(data["terms"], "terms")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad superform object: {exc}") from exc
-    terms = {}
+    terms = []
     for entry in raw_terms:
         try:
             k = tuple(parse_int(i) - 1 for i in parse_list(entry["K"], "K"))
             l = tuple(parse_int(i) - 1 for i in parse_list(entry["L"], "L"))
-            poly_terms = {}
-            for t in parse_list(entry["poly"], "poly"):
-                mono = tuple(parse_int(e) for e in
-                             parse_list(t["exponents"], "exponents"))
-                poly_terms[mono] = poly_terms.get(mono, Fraction(0)) + \
-                    parse_rational(t["coeff"])
-            poly = Poly(ambient, poly_terms)
+            poly = Poly(ambient, [
+                ([parse_int(e) for e in parse_list(t["exponents"],
+                                                   "exponents")],
+                 parse_rational(t["coeff"]))
+                for t in parse_list(entry["poly"], "poly")])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad superform term: {exc}") from exc
-        key = (k, l)
-        terms[key] = terms[key] + poly if key in terms else poly
+        terms.append(((k, l), poly))
     try:
         return PolySuperform(ambient, p, q, terms)
     except Exception as exc:

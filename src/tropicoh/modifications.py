@@ -176,16 +176,16 @@ def _lift(piece: Polyhedron, lin, const):
     return Polyhedron(r + 1, verts, rays, piece.sedentarity)
 
 
-def _graph_of(pieces) -> PolyhedralComplex:
-    """The complex of the affine pieces lifted onto their graphs."""
-    return build_complex([(_lift(piece, lin, const), weight)
-                          for piece, weight, lin, const in pieces])
+def _lifted(pieces):
+    """The affine pieces lifted onto their graphs, with their weights."""
+    return [(_lift(piece, lin, const), weight)
+            for piece, weight, lin, const in pieces]
 
 
 def graph_complex(w: PolyhedralComplex, p: PLFunction) -> PolyhedralComplex:
     """The graph of p over w, with inherited weights, in one extra
     coordinate; in general unbalanced along the break locus."""
-    return _graph_of(p.affine_pieces(w))
+    return build_complex(_lifted(p.affine_pieces(w)), w.tropical_coords)
 
 
 def complete_modification(w: PolyhedralComplex, p: PLFunction
@@ -195,14 +195,17 @@ def complete_modification(w: PolyhedralComplex, p: PLFunction
     Hangs a facet in direction -e_last at every unbalanced codimension-one
     face of the graph, with the unique weight restoring balancing, and
     extracts the divisor as the projected shadow of the hung facets.
+    The refined source, the graph, the cycle and the divisor keep the
+    tropical coordinates of w.
     """
     ok, _ = is_balanced(w)
     if not ok:
         raise BalancingRequiredError("modification needs a balanced source")
     pieces = p.affine_pieces(w)
+    tropical = w.tropical_coords
     refined_w = build_complex([(piece, weight)
-                               for piece, weight, _, _ in pieces])
-    graph = _graph_of(pieces)
+                               for piece, weight, _, _ in pieces], tropical)
+    graph = build_complex(_lifted(pieces), tropical)
     r1 = graph.ambient_dim
     e_last = unit_vec(r1, r1 - 1)
     hung = []
@@ -227,7 +230,7 @@ def complete_modification(w: PolyhedralComplex, p: PLFunction
     maximal = [(graph.cells[i], graph.weight(i))
                for i in graph.facet_indices()]
     maximal.extend((down, wt) for down, _, wt in hung)
-    cycle = build_complex(maximal)
+    cycle = build_complex(maximal, tropical)
     ok, failures = is_balanced(cycle)
     if not ok:
         raise ModificationError(f"completion failed to balance: {failures}")
@@ -242,7 +245,7 @@ def complete_modification(w: PolyhedralComplex, p: PLFunction
             if shadow.key in div_cells and div_cells[shadow.key][1] != wt:
                 raise ModificationError("inconsistent divisor weights")
             div_cells[shadow.key] = (shadow, wt)
-        divisor = build_complex(list(div_cells.values()))
+        divisor = build_complex(list(div_cells.values()), tropical)
         ok, _ = is_balanced(divisor)
         if not ok:
             raise ModificationError("divisor of a balanced source must "
@@ -262,12 +265,17 @@ def closed_modification(w: PolyhedralComplex, p: PLFunction
                               open_result.projection_coordinate)
 
 
+def _dropped(coords, i: int) -> frozenset:
+    """Coordinate indices other than i, renumbered past the dropped i."""
+    return frozenset(k if k < i else k - 1 for k in coords if k != i)
+
+
 def _drop_coordinate(cell: Polyhedron, i: int) -> Polyhedron:
     keep = [k for k in range(cell.ambient_dim) if k != i]
     verts = [tuple(v[k] for k in keep) for v in cell.vertices]
     rays = [tuple(ray[k] for k in keep) for ray in cell.rays]
-    sed = frozenset(k if k < i else k - 1 for k in cell.sedentarity)
-    return Polyhedron(cell.ambient_dim - 1, verts, rays, sed)
+    return Polyhedron(cell.ambient_dim - 1, verts, rays,
+                      _dropped(cell.sedentarity, i))
 
 
 def _projection_index(cell: Polyhedron, dropped: Polyhedron, i: int) -> int:
@@ -295,6 +303,8 @@ def project_modification(v: PolyhedralComplex, coordinate: int
     Facets containing the kernel direction map into the divisor, the rest
     onto the source; the recovered per-facet function is verified by
     reconstructing the modification and comparing weighted supports.
+    The source and the divisor keep the tropical coordinates of v other
+    than the projected one.
     """
     r = v.ambient_dim
     i = coordinate
@@ -333,7 +343,8 @@ def project_modification(v: PolyhedralComplex, coordinate: int
             raise NotAModificationError(
                 "two facets project onto a common region: fibers are "
                 "disconnected")
-    w = build_complex([(shadow, wt) for shadow, wt, _ in w_facets])
+    tropical = _dropped(v.tropical_coords, i)
+    w = build_complex([(shadow, wt) for shadow, wt, _ in w_facets], tropical)
     divisor = None
     if verticals:
         div_cells = {}
@@ -350,7 +361,7 @@ def project_modification(v: PolyhedralComplex, coordinate: int
             if any(other is not shadow and other.contains_polyhedron(shadow)
                    for other, _ in div_cells.values()):
                 del div_cells[key]
-        divisor = build_complex(list(div_cells.values()))
+        divisor = build_complex(list(div_cells.values()), tropical)
     # Recover the function per source facet.
     per_facet = {}
     for shadow, _, cell in w_facets:

@@ -554,12 +554,14 @@ def build_complex(maximal_cells, tropical_coords=()) -> PolyhedralComplex:
     """Face-close a list of (Polyhedron, weight) pairs into a complex.
 
     `tropical_coords` lists the coordinates compactified to -infinity;
-    faces at infinity are generated along them.  Raises ComplexAxiomError
-    when cells overlap badly or one listed maximal cell lies in another.
+    faces at infinity are generated along them, and a listed cell may be
+    at -infinity only in these (DimensionError otherwise).  Raises
+    ComplexAxiomError when cells overlap badly or one listed maximal cell
+    lies in another.
 
     Complexes are interned: the same input returns the same complex.  The
-    input is the V-signature and weight of each maximal cell, in order,
-    and the set of tropical coordinates, so a twin cell (another
+    input is the V-signature and weight of each maximal cell, in any
+    order, and the set of tropical coordinates, so a twin cell (another
     V-representation of one point set) gives another complex.  A build
     that raises is not kept, so it raises again.
     """
@@ -569,6 +571,7 @@ def build_complex(maximal_cells, tropical_coords=()) -> PolyhedralComplex:
                 else (item[0], _integer_weight(item[1])))
         signature.append((c.ambient_dim, c.sedentarity, c.vertices, c.rays,
                           w))
+    signature.sort(key=lambda sig: (sig[0], sorted(sig[1]), sig[2:]))
     return _interned_complex(tuple(signature), frozenset(tropical_coords))
 
 
@@ -586,6 +589,11 @@ def _interned_complex(signature, tropical) -> PolyhedralComplex:
     if any(not 0 <= i < ambient for i in tropical):
         raise DimensionError(f"tropical coordinates {sorted(tropical)} "
                              f"outside T^{ambient}")
+    for c, _ in entries:
+        if not c.sedentarity <= tropical:
+            raise DimensionError(
+                f"{c} is at -inf in coordinates "
+                f"{sorted(c.sedentarity - tropical)}, which are not tropical")
     cells = {c.key: c for c, _ in entries}
     if len(cells) < len(entries):
         raise ComplexAxiomError("duplicate maximal cell")

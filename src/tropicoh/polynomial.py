@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 
+from .errors import IntegralityError
 from .linalg import Vec, clear_denominators, det, vec
 
 Monomial = tuple[int, ...]
@@ -19,17 +21,20 @@ class Poly:
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms=None):
+    def __init__(self, nvars: int, terms=()):
+        """Terms map monomials to coefficients, or are (monomial,
+        coefficient) pairs, which add; an exponent that is not an int (or
+        is a bool) raises IntegralityError."""
         self.nvars = nvars
         clean: dict[Monomial, Fraction] = {}
-        for mono, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            mono = tuple(int(e) for e in mono)
+        for mono, coeff in (terms.items() if isinstance(terms, Mapping)
+                            else terms):
+            mono = tuple(mono)
+            if any(type(e) is not int for e in mono):
+                raise IntegralityError(f"non-integral exponents {mono}")
             if len(mono) != nvars or any(e < 0 for e in mono):
                 raise ValueError(f"bad monomial {mono} for {nvars} variables")
-            clean[mono] = clean.get(mono, Fraction(0)) + coeff
+            clean[mono] = clean.get(mono, 0) + Fraction(coeff)
         self.terms = {m: c for m, c in clean.items() if c != 0}
 
     @classmethod
@@ -45,10 +50,7 @@ class Poly:
         return not self.terms
 
     def __add__(self, other: "Poly") -> "Poly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return Poly(self.nvars, out)
+        return Poly(self.nvars, [*self.terms.items(), *other.terms.items()])
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + other.scale(-1)
@@ -61,13 +63,9 @@ class Poly:
         return Poly(self.nvars, _product(self.terms, other.terms))
 
     def partial(self, i: int) -> "Poly":
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            if m[i] == 0:
-                continue
-            m2 = tuple(e - 1 if j == i else e for j, e in enumerate(m))
-            out[m2] = out.get(m2, Fraction(0)) + c * m[i]
-        return Poly(self.nvars, out)
+        return Poly(self.nvars, [
+            (tuple(e - 1 if j == i else e for j, e in enumerate(m)), c * m[i])
+            for m, c in self.terms.items() if m[i]])
 
     def evaluate(self, point) -> Fraction:
         point = vec(point)

@@ -13,6 +13,7 @@ hits the d' and d'' parts with the same sign.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from fractions import Fraction
 
 from .errors import DegreeError, DimensionError, UnboundedDomainError
@@ -31,7 +32,10 @@ class PolySuperform:
 
     __slots__ = ("ambient_dim", "p", "q", "terms")
 
-    def __init__(self, ambient_dim: int, p: int, q: int, terms=None):
+    def __init__(self, ambient_dim: int, p: int, q: int, terms=()):
+        """Terms map (K, L) to coefficients, or are ((K, L), coefficient)
+        pairs, which add; an index that is not an int in 0..n-1 (or is a
+        bool) raises DimensionError."""
         if ambient_dim < 0:
             raise DimensionError(f"negative ambient dimension {ambient_dim}")
         if p < 0 or q < 0:
@@ -40,16 +44,18 @@ class PolySuperform:
         self.p = p
         self.q = q
         clean = {}
-        for (k, l), poly in (terms or {}).items():
+        for (k, l), poly in (terms.items() if isinstance(terms, Mapping)
+                             else terms):
             k = tuple(k)
             l = tuple(l)
             if len(k) != p or len(l) != q:
                 raise DegreeError(f"index pair {(k, l)} does not match "
                                   f"bidegree ({p},{q})")
+            if any(type(i) is not int or not 0 <= i < ambient_dim
+                   for i in k + l):
+                raise DimensionError(f"index pair {(k, l)} out of range")
             if list(k) != sorted(set(k)) or list(l) != sorted(set(l)):
                 raise DegreeError("index tuples must be strictly increasing")
-            if any(not 0 <= i < ambient_dim for i in k + l):
-                raise DimensionError("index out of range")
             if isinstance(poly, Poly):
                 if poly.nvars != ambient_dim:
                     raise DimensionError("coefficient in the wrong ring")
@@ -57,10 +63,7 @@ class PolySuperform:
                 poly = Poly.constant(ambient_dim, poly)
             if poly.is_zero():
                 continue
-            if (k, l) in clean:
-                clean[(k, l)] = clean[(k, l)] + poly
-            else:
-                clean[(k, l)] = poly
+            clean[k, l] = clean[k, l] + poly if (k, l) in clean else poly
         self.terms = {kl: f for kl, f in clean.items() if not f.is_zero()}
 
     def is_zero(self) -> bool:
@@ -68,10 +71,8 @@ class PolySuperform:
 
     def __add__(self, other: "PolySuperform") -> "PolySuperform":
         self._check_compatible(other)
-        out = dict(self.terms)
-        for kl, f in other.terms.items():
-            out[kl] = out[kl] + f if kl in out else f
-        return PolySuperform(self.ambient_dim, self.p, self.q, out)
+        return PolySuperform(self.ambient_dim, self.p, self.q,
+                             [*self.terms.items(), *other.terms.items()])
 
     def scale(self, c) -> "PolySuperform":
         return PolySuperform(self.ambient_dim, self.p, self.q,
@@ -107,47 +108,38 @@ class PolySuperform:
 
 
 def form_from_terms(ambient_dim, p, q, entries) -> PolySuperform:
-    """Convenience constructor taking (K, L, poly-or-scalar) triples."""
+    """Convenience constructor taking (K, L, poly-or-scalar) triples; the
+    coefficients of a repeated (K, L) add."""
     return PolySuperform(ambient_dim, p, q,
-                         {(tuple(k), tuple(l)): f for k, l, f in entries})
-
-
-def d_second(alpha: PolySuperform) -> PolySuperform:
-    """d'' = (-1)^p id x D, resorted into canonical index order."""
-    out = {}
-    for (k, l), f in alpha.terms.items():
-        for i in range(alpha.ambient_dim):
-            if i in l:
-                continue
-            df = f.partial(i)
-            if df.is_zero():
-                continue
-            below = sum(1 for x in l if x < i)
-            sign = (-1) ** (alpha.p + below)
-            new_l = tuple(sorted(l + (i,)))
-            key = (k, new_l)
-            term = df.scale(sign)
-            out[key] = out[key] + term if key in out else term
-    return PolySuperform(alpha.ambient_dim, alpha.p, alpha.q + 1, out)
+                         [((k, l), f) for k, l, f in entries])
 
 
 def d_prime(alpha: PolySuperform) -> PolySuperform:
     """d' = D x id."""
-    out = {}
+    return _derivative(alpha, second=False)
+
+
+def d_second(alpha: PolySuperform) -> PolySuperform:
+    """d'' = (-1)^p id x D."""
+    return _derivative(alpha, second=True)
+
+
+def _derivative(alpha: PolySuperform, second: bool) -> PolySuperform:
+    """D on one half of the bigrading: each d'x_i (d''x_i when `second`)
+    is sorted into K (into L, past the p symbols of K) with its sign."""
+    shift = alpha.p if second else 0
+    out = []
     for (k, l), f in alpha.terms.items():
+        grown = l if second else k
         for i in range(alpha.ambient_dim):
-            if i in k:
+            if i in grown:
                 continue
-            df = f.partial(i)
-            if df.is_zero():
-                continue
-            below = sum(1 for x in k if x < i)
-            sign = (-1) ** below
-            new_k = tuple(sorted(k + (i,)))
-            key = (new_k, l)
-            term = df.scale(sign)
-            out[key] = out[key] + term if key in out else term
-    return PolySuperform(alpha.ambient_dim, alpha.p + 1, alpha.q, out)
+            sign = (-1) ** (shift + sum(1 for x in grown if x < i))
+            new = tuple(sorted(grown + (i,)))
+            out.append(((k, new) if second else (new, l),
+                        f.partial(i).scale(sign)))
+    p, q = (alpha.p, alpha.q + 1) if second else (alpha.p + 1, alpha.q)
+    return PolySuperform(alpha.ambient_dim, p, q, out)
 
 
 def wedge(alpha: PolySuperform, beta: PolySuperform) -> PolySuperform:
@@ -155,18 +147,15 @@ def wedge(alpha: PolySuperform, beta: PolySuperform) -> PolySuperform:
     if alpha.ambient_dim != beta.ambient_dim:
         raise DimensionError("wedge: ambient mismatch")
     cross = (-1) ** (beta.p * alpha.q)
-    out = {}
+    out = []
     for (k1, l1), f in alpha.terms.items():
         for (k2, l2), g in beta.terms.items():
             k, ks = sort_with_sign(k1 + k2)
             if ks == 0:
                 continue
             l, ls = sort_with_sign(l1 + l2)
-            if ls == 0:
-                continue
-            key = (k, l)
-            term = (f * g).scale(cross * ks * ls)
-            out[key] = out[key] + term if key in out else term
+            if ls:
+                out.append(((k, l), (f * g).scale(cross * ks * ls)))
     return PolySuperform(alpha.ambient_dim, alpha.p + beta.p,
                          alpha.q + beta.q, out)
 
@@ -178,16 +167,12 @@ def contract(alpha: PolySuperform, v, slot: int) -> PolySuperform:
     if not 1 <= slot <= alpha.p:
         raise DegreeError(f"slot {slot} out of range 1..{alpha.p}")
     v = vec(v)
-    out = {}
+    out = []
     for (k, l), f in alpha.terms.items():
         for a, idx in enumerate(k, start=1):
-            if v[idx] == 0:
-                continue
-            sign = (-1) ** (a + slot)
-            new_k = tuple(x for x in k if x != idx)
-            key = (new_k, l)
-            term = f.scale(sign * v[idx])
-            out[key] = out[key] + term if key in out else term
+            if v[idx]:
+                out.append(((tuple(x for x in k if x != idx), l),
+                            f.scale((-1) ** (a + slot) * v[idx])))
     return PolySuperform(alpha.ambient_dim, alpha.p - 1, alpha.q, out)
 
 
@@ -217,12 +202,11 @@ def pullback(linear_rows, constants, alpha: PolySuperform) -> PolySuperform:
     out = {}
     for k2 in itertools.combinations(range(source_dim), alpha.p):
         for l2 in itertools.combinations(range(source_dim), alpha.q):
-            weighted = {}
+            weighted = []
             for (k, l), f in alpha.terms.items():
                 w = mk[k, k2] * ml[l, l2]
                 if w:
-                    for mono, c in f.terms.items():
-                        weighted[mono] = weighted.get(mono, 0) + w * c
+                    weighted += [(mono, w * c) for mono, c in f.terms.items()]
             g = Poly(alpha.ambient_dim, weighted)
             if not g.is_zero():
                 out[(k2, l2)] = g.compose_affine(rows, consts)

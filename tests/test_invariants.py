@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import tropicoh
-from tropicoh import chains, cohomology, convex, polyhedral
+from tropicoh import chains, cohomology, convex, polyhedral, superforms
 from tropicoh import io as tio
 from tropicoh.cli import main
 from tropicoh.cohomology import (
@@ -463,6 +463,51 @@ def test_coordinates_read_at_pivots():
              if isinstance(node, ast.Call)
              and isinstance(node.func, (ast.Name, ast.Attribute))}
     assert not calls & {"solve", "intersection"}
+
+
+def _merging_functions(path):
+    """Functions that add into a dict by hand: `d[k] = ... d[k] ...`,
+    `d[k] = ... d.get(k, ...) ...` or `d[k] += ...`."""
+    names = set()
+    for func in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.AugAssign) and isinstance(
+                    node.target, ast.Subscript):
+                names.add(func.name)
+            if not (isinstance(node, ast.Assign)
+                    and isinstance(node.targets[0], ast.Subscript)):
+                continue
+            held = ast.unparse(node.targets[0].value)
+            reads = {ast.unparse(n.value) for n in ast.walk(node.value)
+                     if isinstance(n, ast.Subscript)}
+            reads |= {ast.unparse(n.func) for n in ast.walk(node.value)
+                      if isinstance(n, ast.Call)}
+            if held in reads or f"{held}.get" in reads:
+                names.add(func.name)
+    return names
+
+
+def test_terms_summed_only_by_their_constructors():
+    # Repeated monomials and index pairs add up in the Poly and
+    # PolySuperform constructors; every other operation hands them
+    # (key, coefficient) pairs.  The int accumulators of the integer
+    # expansion stay, as int arithmetic is their point.  d' and d'' are
+    # one loop over the two halves of the bigrading.
+    package = Path(tropicoh.__file__).parent
+    assert _merging_functions(package / "polynomial.py") == {
+        "__init__", "_product", "compose_affine"}
+    assert _merging_functions(package / "superforms.py") == {"__init__"}
+    assert _merging_functions(package / "io.py") == set()
+    helpers = []
+    for func in (superforms.d_prime, superforms.d_second):
+        tree = ast.parse(inspect.getsource(func))
+        assert not any(isinstance(n, ast.For) for n in ast.walk(tree))
+        helpers.append({n.func.id for n in ast.walk(tree)
+                        if isinstance(n, ast.Call)
+                        and isinstance(n.func, ast.Name)})
+    assert helpers[0] == helpers[1] == {"_derivative"}
 
 
 def test_reduction_never_divides():

@@ -38,11 +38,23 @@ def test_complex_round_trip_sedentary_facet(tmp_path):
                         tropical_coords=[0])
     stratum_cell = next(c for c in seg.cells if c.sedentarity)
     single = build_complex(
-        [(Polyhedron(1, [[tio.parse_extended("-inf")]]), 1)])
+        [(Polyhedron(1, [[tio.parse_extended("-inf")]]), 1)],
+        tropical_coords=[0])
     d = tio.complex_to_dict(single)
     assert d["maximal_cells"][0]["vertices"] == [["-inf"]]
     again = tio.complex_from_dict(d)
     assert again.cells[0].sedentarity == {0}
+
+
+def test_cell_at_infinity_outside_the_tropical_coordinates(tmp_path,
+                                                          capsys):
+    data = {"ambient_dim": 1, "maximal_cells": [{"vertices": [["-inf"]]}]}
+    with pytest.raises(ParseError):
+        tio.complex_from_dict(data)
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(data))
+    code, out = run_cli(["validate", str(path)], capsys)
+    assert code == 2 and json.loads(out)["error"] == "parse"
 
 
 def test_rational_strings():

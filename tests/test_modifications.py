@@ -34,8 +34,10 @@ from tropicoh.modifications import (
     weighted_supports_equal,
 )
 from tropicoh.polyhedral import (
+    NEG_INF,
     Polyhedron,
     build_complex,
+    closure_in,
     from_hrep,
     intersect,
     is_balanced,
@@ -183,6 +185,37 @@ def test_closed_modification_sedentary_part():
     stratum = restrict_to_stratum(closed, {1})
     assert len(stratum.cells) == 1
     assert stratum.cells[0].vertices == ((F(0),),)
+
+
+def test_modification_keeps_the_compactification():
+    # The refined source, graph, cycle and divisor of a modification of T
+    # used to lose the point at -inf.
+    t1 = closure_in(r1_complex(), [0])
+    res = complete_modification(t1, max_0_x())
+    for c in (res.source, res.graph, res.divisor):
+        assert c.tropical_coords == {0}
+    assert any(c.sedentarity == {0} for c in res.source.cells)
+    closed = closed_modification(t1, max_0_x())
+    assert betti_tables(closed.source) == betti_tables(t1)
+    assert closed.graph.tropical_coords == {0, 1}
+
+
+def test_projection_keeps_the_other_tropical_coordinates():
+    # Projecting a cycle in T x R used to drop the compactification of
+    # the source and the divisor.
+    t1 = closure_in(r1_complex(), [0])
+    cycle = complete_modification(t1, max_0_x()).graph
+    res = project_modification(cycle, 1)
+    assert res.source.tropical_coords == res.divisor.tropical_coords == {0}
+    assert weighted_supports_equal(res.source, t1)
+
+
+def test_projecting_away_a_sedentary_coordinate():
+    # The point (-inf, 0) used to project to a cell sedentary in the
+    # coordinate -1, which raised DimensionError; it is no modification.
+    point = build_complex([Polyhedron(2, [(NEG_INF, 0)])], [0])
+    with pytest.raises(NotAModificationError):
+        project_modification(point, 0)
 
 
 def test_closed_modification_constant_has_no_sedentary_part():

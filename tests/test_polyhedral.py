@@ -1471,6 +1471,28 @@ def test_interned_complex_is_read_only():
     assert set(c.weights.values()) == {1}
 
 
+def test_input_order_gives_the_same_complex():
+    assert build_complex([_LEFT, _RIGHT], [0]) is build_complex(_T1, [0])
+
+
+@pytest.mark.parametrize("coords", [[0], [0, 2]])
+def test_open_stratum_of_a_closure_is_the_fan(coords):
+    # The restriction lists the fan's cells in another order, which used
+    # to give a second complex.
+    fan = bergman_fan(uniform_matroid(3, 4))
+    assert restrict_to_stratum(closure_in(fan, coords), ()) is fan
+
+
+def test_cells_at_infinity_need_tropical_coordinates():
+    # Two rays at x0 = -inf used to build a complex "in R^2".
+    rays = [Polyhedron(2, [(NEG_INF, 0)], [(0, 1)]),
+            Polyhedron(2, [(NEG_INF, 0)], [(0, -1)])]
+    for _ in range(2):
+        with pytest.raises(DimensionError):
+            build_complex(rays)
+    assert build_complex(rays, [0]).tropical_coords == {0}
+
+
 _SIGN_FANS = {
     "u23": lambda: bergman_fan(uniform_matroid(2, 3)),
     "u24": lambda: bergman_fan(uniform_matroid(2, 4)),
@@ -1489,7 +1511,8 @@ def _sign_complexes(draw):
     if kind == "rational":
         cell = draw(_rational_cells())
         mobile = sorted(set(range(cell.ambient_dim)) - cell.sedentarity)
-        cells, coords = [cell], draw(st.sets(st.sampled_from(mobile)))
+        cells = [cell]
+        coords = cell.sedentarity | draw(st.sets(st.sampled_from(mobile)))
     else:
         fan = (build_complex([draw(_closed_cones())]) if kind == "cone"
                else _SIGN_FANS[draw(st.sampled_from(sorted(_SIGN_FANS)))]())

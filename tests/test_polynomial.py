@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tropicoh.errors import IntegralityError
 from tropicoh.linalg import det, vec
 from tropicoh.polynomial import (
     Poly,
@@ -167,6 +168,22 @@ def test_cubature_composes_nothing(monkeypatch):
 
     monkeypatch.setattr(Poly, "compose_affine", refuse)
     assert integrate_over_simplex(p, verts) == expected != 0
+
+
+@pytest.mark.parametrize("exponent", [1.5, F(3, 2), True, F(1)],
+                         ids=["float", "fraction", "bool", "integral-fraction"])
+def test_exponent_must_be_an_int(exponent):
+    # Every one of these used to be truncated to x^1 by int(), or skipped
+    # unchecked with a zero coefficient.
+    for coeff in (1, 0):
+        with pytest.raises(IntegralityError):
+            Poly(1, {(exponent,): coeff})
+
+
+def test_repeated_monomials_add():
+    assert Poly(2, [((1, 0), 1), ((0, 1), 2), ((1, 0), F(1, 2))]) == \
+        Poly(2, {(1, 0): F(3, 2), (0, 1): 2})
+    assert Poly(1, [((1,), 1), ((1,), -1)]).is_zero()
 
 
 def test_integrate_over_simplex_needs_n_plus_one_vertices():

@@ -93,6 +93,38 @@ def test_dd_squares_to_zero(alpha):
     assert d_prime(d_prime(alpha)).is_zero()
 
 
+def test_d_prime_sign_rule():
+    # d'(x d''x) = d'x ^ d''x in one variable: d' takes no factor (-1)^p.
+    alpha = form_from_terms(1, 0, 1, [((), (0,), x_poly(1, 0))])
+    assert d_prime(alpha).terms == {((0,), (0,)): Poly.constant(1, 1)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(superforms())
+def test_d_prime_and_d_second_anticommute(alpha):
+    assert (d_prime(d_second(alpha)) + d_second(d_prime(alpha))).is_zero()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_leibniz_rule_d_prime(data):
+    n = data.draw(st.integers(1, 3))
+    alpha = data.draw(superforms(nvars=n))
+    beta = data.draw(superforms(nvars=n))
+    if alpha.p + beta.p + 1 > n or alpha.q + beta.q > n:
+        return
+    lhs = d_prime(wedge(alpha, beta))
+    sign = (-1) ** (alpha.p + alpha.q)
+    rhs = wedge(d_prime(alpha), beta) + wedge(alpha, d_prime(beta)).scale(sign)
+    assert lhs == rhs
+
+
+def test_form_from_terms_adds_repeated_pairs():
+    # A repeated (K, L) used to keep only its last coefficient.
+    alpha = form_from_terms(1, 0, 0, [((), (), 1), ((), (), 2)])
+    assert alpha.terms == {((), ()): Poly.constant(1, 3)}
+
+
 def test_wedge_basic_sign():
     a = form_from_terms(2, 1, 0, [((0,), (), 1)])
     b = form_from_terms(2, 0, 1, [((), (1,), 1)])
@@ -485,11 +517,15 @@ def test_cancellation_rejects_a_form_of_another_ambient(ambient):
         balanced_face_cancellation(line, beta, ((-2, -2), (2, 2)))
 
 
-@pytest.mark.parametrize("index", [((-1,), ()), ((0,), (-2,)), ((2,), ())],
-                         ids=["negative-first", "negative-second", "past-end"])
+@pytest.mark.parametrize("index", [((-1,), ()), ((0,), (-2,)), ((2,), ()),
+                                   ((F(1, 2),), ()), ((0,), (True,)),
+                                   ((0,), (F(1),))],
+                         ids=["negative-first", "negative-second", "past-end",
+                              "fraction", "bool", "integral-fraction"])
 def test_superform_index_outside_the_coordinates(index):
     # A negative index used to be accepted and read as a coordinate counted
-    # from the end.
+    # from the end; a fractional one was accepted too, and d'' then keyed
+    # a term by ((1/2,), (0,)) and contraction raised a bare TypeError.
     p, q = (len(k) for k in index)
     with pytest.raises(DimensionError):
         PolySuperform(2, p, q, {index: 1})
