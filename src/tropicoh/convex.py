@@ -13,20 +13,19 @@ vectors, so the output is canonical.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
-from .errors import ValidationError
+from .errors import InvalidInputError, ValidationError
 from .linalg import (
     Vec,
     clear_denominators,
     idot,
-    is_zero_vec,
+    integer_echelon,
+    integer_kernel,
     kernel_basis,
     primitive,
-    rref,
-    vdot,
     vec,
-    vsub,
     zero_vec,
 )
 
@@ -65,14 +64,12 @@ def cone_rays(ineq_normals, eq_normals, ambient_dim: int):
     # subspace, spanned by the free directions, and each inequality cuts
     # it in turn.  A ray carries its zero set over the inequalities cut so
     # far, as a bit mask.
-    free = [primitive(r) for r in kernel_basis(eqs, ambient_dim)]
+    free = integer_kernel(eqs, ambient_dim)
     if not free:
         return [], []
-    lineality = [primitive(r)
-                 for r in kernel_basis(ineqs + eqs, ambient_dim)]
+    lineality = integer_kernel(ineqs + eqs, ambient_dim)
     if lineality:
-        free = [primitive(r)
-                for r in kernel_basis(eqs + lineality, ambient_dim)]
+        free = integer_kernel(eqs + lineality, ambient_dim)
     rays = []
     for i, a in enumerate(ineqs):
         bit = 1 << i
@@ -106,14 +103,12 @@ def cone_rays(ineq_normals, eq_normals, ambient_dim: int):
     return lineality, sorted(r for r, _ in rays)
 
 
-def _rescale_offset(a_raw, b_raw):
-    """Primitive normal with the offset scaled consistently.  The offset
-    is an int when it is integral, so cell keys hash ints."""
-    ap = primitive(a_raw)
-    scale = next(Fraction(x) / Fraction(y)
-                 for x, y in zip(ap, vec(a_raw)) if y != 0)
-    b = Fraction(b_raw) * scale
-    return ap, b.numerator if b.denominator == 1 else b
+def _offset(a, b):
+    """The primitive normal of the integer row a with the offset b scaled
+    alike: an int when it is integral, so cell keys hash ints."""
+    g = math.gcd(*a)
+    return (tuple(x // g for x in a) if g > 1 else tuple(a),
+            b // g if b % g == 0 else Fraction(b, g))
 
 
 def polyhedron_facets(vertices, rays, ambient_dim: int):
@@ -125,33 +120,32 @@ def polyhedron_facets(vertices, rays, ambient_dim: int):
     primitive int tuple, and b an int when it is integral, a Fraction
     otherwise.  Inequalities constant on the affine hull are dropped, so
     the list is irredundant.
+
+    Each vertex v is homogenized as the integer row (d, d v) for its
+    common denominator d, so the whole computation runs on ints.
     """
-    verts = [vec(v) for v in vertices]
-    rs = [vec(r) for r in rays]
-    if not verts:
-        raise ValueError("polyhedron needs at least one vertex")
-    homog = [(Fraction(1),) + v for v in verts] + [(Fraction(0),) + r for r in rs]
+    cleared = [clear_denominators(v) for v in vertices]
+    if not cleared:
+        raise InvalidInputError("polyhedron needs at least one vertex")
+    homog = ([(den, *ints) for ints, den in cleared]
+             + [(0, *r) for r in rays])
     eqs_h, normals_h = cone_facets(homog, ambient_dim + 1)
-    directions = [vsub(v, verts[0]) for v in verts[1:]] + rs
-    eq_rows = []
-    for e in eqs_h:
-        a = vec(e[1:])
-        if is_zero_vec(a):
-            continue
-        eq_rows.append(tuple(list(a) + [vdot(a, verts[0])]))
-    eq_canon = []
-    for row in rref(eq_rows)[0]:
-        a, b = row[:-1], row[-1]
-        eq_canon.append(_rescale_offset(a, b))
+    # e . (d, d v) = 0 on every vertex, so (e[1:], -e[0]) is a . x = b on
+    # the affine hull; its integer echelon form is the canonical one.
+    rows, _ = integer_echelon([(*e[1:], -e[0]) for e in eqs_h])
+    equations = sorted(_offset(row[:-1], row[-1]) for row in rows)
+    ints0, den0 = cleared[0]
     inequalities = []
     for n in normals_h:
-        a0, a = Fraction(n[0]), vec(n[1:])
-        if is_zero_vec(a):
+        a = n[1:]
+        if not any(a):
             continue  # the facet at infinity x0 >= 0
-        if all(vdot(a, d) == 0 for d in directions):
+        at0 = idot(a, ints0)
+        if (all(idot(a, ints) * den0 == at0 * den for ints, den in cleared)
+                and not any(idot(a, r) for r in rays)):
             continue  # constant on the affine hull
-        inequalities.append(_rescale_offset(a, -a0))
-    return sorted(eq_canon), sorted(inequalities)
+        inequalities.append(_offset(a, -n[0]))
+    return equations, sorted(inequalities)
 
 
 def polyhedron_generators(equations, inequalities, ambient_dim: int):
@@ -169,9 +163,9 @@ def polyhedron_generators(equations, inequalities, ambient_dim: int):
                                     [a for a, _ in equations], ambient_dim)
         return ([zero_vec(ambient_dim)], [vec(r) for r in rays],
                 [vec(l) for l in lineality])
-    homog_eqs = [tuple([-Fraction(b)] + list(vec(a))) for a, b in equations]
-    homog_ineqs = [tuple([-Fraction(b)] + list(vec(a))) for a, b in inequalities]
-    homog_ineqs.append(tuple([Fraction(1)] + [Fraction(0)] * ambient_dim))
+    homog_eqs = [clear_denominators((-b, *a))[0] for a, b in equations]
+    homog_ineqs = [clear_denominators((-b, *a))[0] for a, b in inequalities]
+    homog_ineqs.append((1,) + (0,) * ambient_dim)
     lineality, rays = cone_rays(homog_ineqs, homog_eqs, ambient_dim + 1)
     vertices_out = []
     rays_out = []

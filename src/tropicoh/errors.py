@@ -9,6 +9,14 @@ class TropicohError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
+class InvalidInputError(TropicohError, ValueError):
+    """An argument is malformed: a vertex or ray of the wrong length, a
+    cell with no vertex, a non-integer entry of an integer matrix, a bad
+    monomial.  It is also a ValueError, so a caller that maps ValueError
+    to its own error (as the file readers map it to ParseError) still
+    catches it."""
+
+
 class DimensionError(TropicohError):
     """Ambient dimensions of two objects do not match, or an index or
     coordinate lies outside the object it refers to."""

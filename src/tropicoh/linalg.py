@@ -3,7 +3,9 @@
 Vectors are tuples of Fraction, matrices are tuples of row tuples.  All
 canonical forms (reduced row echelon for subspaces, row Hermite for
 lattices) are chosen once so that equality of spans is equality of
-representations.  No floating point anywhere.
+representations.  Row reduction runs once, fraction-free on int rows
+(`integer_echelon`); `rref` and `kernel_basis` turn its rows into
+Fractions, `integer_kernel` keeps them int.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .errors import DimensionError
+from .errors import DimensionError, InvalidInputError
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -136,16 +138,20 @@ def det(m: Mat) -> Fraction:
     return Fraction(idet(rows), scale)
 
 
-def rref(rows) -> tuple[list[Vec], list[int]]:
-    """Reduced row echelon form.
+def integer_echelon(rows) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination of integer rows.
 
-    Returns (nonzero rows with leading 1s, pivot column indices).
-    Eliminates on primitive integer rows (each new row is
-    pv*row - f*pivot_row divided by its gcd) and divides by the pivots
-    once at the end; the reduced form of a row space is unique, so this
-    is the same answer as elimination over Q.
+    Returns (nonzero rows, pivot column indices): the rows of the reduced
+    row echelon form, each scaled to a primitive int row with a positive
+    pivot.  A row is eliminated as pv*row - f*pivot_row and divided by its
+    gcd.  A pivot row is negated when its pivot is negative; later steps
+    multiply it by a positive pivot and divide it by a gcd, so its pivot
+    stays positive.
     """
-    work = [primitive(r) for r in rows]
+    work = []
+    for r in rows:
+        g = math.gcd(*r)
+        work.append([x // g for x in r] if g > 1 else list(r))
     if not work:
         return [], []
     nrows, ncols = len(work), len(work[0])
@@ -156,8 +162,10 @@ def rref(rows) -> tuple[list[Vec], list[int]]:
                      None)
         if pivot is None:
             continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        top = work[rank]
+        top = work[pivot]
+        if top[col] < 0:
+            top = [-x for x in top]
+        work[pivot], work[rank] = work[rank], top
         pv = top[col]
         for r in range(nrows):
             f = work[r][col]
@@ -168,6 +176,18 @@ def rref(rows) -> tuple[list[Vec], list[int]]:
         pivots.append(col)
         if len(pivots) == nrows:
             break
+    return work[:len(pivots)], pivots
+
+
+def rref(rows) -> tuple[list[Vec], list[int]]:
+    """Reduced row echelon form.
+
+    Returns (nonzero rows with leading 1s, pivot column indices).  The
+    rows are cleared of denominators and eliminated by `integer_echelon`,
+    then divided by their pivots; the reduced form of a row space is
+    unique, so this is the same answer as elimination over Q.
+    """
+    work, pivots = integer_echelon([clear_denominators(r)[0] for r in rows])
     return ([tuple(Fraction(x, row[pc]) for x in row)
              for row, pc in zip(work, pivots)], pivots)
 
@@ -215,6 +235,33 @@ def kernel_basis(m, ncols: int) -> list[Vec]:
         for row, pc in zip(red, pivot_cols):
             v[pc] = -row[last - fc]
         basis.append(tuple(v))
+    return basis
+
+
+def integer_kernel(m, ncols: int) -> list[tuple[int, ...]]:
+    """The rows of `kernel_basis(m, ncols)` for an integer matrix m, each
+    scaled to a primitive int tuple.
+
+    Read off `integer_echelon` as `kernel_basis` reads off `rref`: the
+    vector of free column f is kernel_basis's vector times the least
+    common multiple L of the pivots of the rows with an entry at f, so
+    it has L at f and -row[f] * (L // pivot) at each pivot column.
+    """
+    work, pivots = integer_echelon([r[::-1] for r in m])
+    last = ncols - 1
+    pivot_cols = [last - pc for pc in pivots]
+    free = sorted(set(range(ncols)).difference(pivot_cols))
+    basis = []
+    for fc in free:
+        at = last - fc
+        scale = math.lcm(*(row[pc] for row, pc in zip(work, pivots)
+                           if row[at]))
+        v = [0] * ncols
+        v[fc] = scale
+        for row, pc, col in zip(work, pivots, pivot_cols):
+            v[col] = -row[at] * (scale // row[pc])
+        g = math.gcd(*v)
+        basis.append(tuple(x // g for x in v) if g > 1 else tuple(v))
     return basis
 
 
@@ -321,7 +368,8 @@ def _int_rows(rows) -> list[list[int]]:
         for x in r:
             f = Fraction(x)
             if f.denominator != 1:
-                raise ValueError(f"non-integer entry {f} in integer matrix")
+                raise InvalidInputError(
+                    f"non-integer entry {f} in integer matrix")
             row.append(int(f))
         out.append(row)
     return out

@@ -327,6 +327,11 @@ def project_modification(v: PolyhedralComplex, coordinate: int
                 raise NotAModificationError(
                     f"fibers of {cell} are full lines")
             verticals.append((cell, weight))
+        elif i in cell.sedentarity:
+            # Every function is finite on the source, so its graph has no
+            # facet at -inf in coordinate i.
+            raise NotAModificationError(
+                f"facet {cell} is sedentary in the projected coordinate {i}")
         else:
             horizontals.append((cell, weight))
     if not horizontals:

@@ -20,6 +20,7 @@ from .errors import (
     CodimensionError,
     ComplexAxiomError,
     DimensionError,
+    InvalidInputError,
     PurityError,
     ValidationError,
 )
@@ -79,12 +80,13 @@ class Polyhedron:
     def __new__(cls, ambient_dim: int, vertices, rays=(), sedentarity=()):
         rows = [tuple(v) for v in vertices]
         if any(len(v) != ambient_dim for v in rows):
-            raise ValueError("vertex of wrong length")
+            raise InvalidInputError("vertex of wrong length")
         if not rows:
-            raise ValueError("polyhedron needs at least one vertex")
+            raise InvalidInputError("polyhedron needs at least one vertex")
         at_infinity = {sedentarity_of(v) for v in rows}
         if len(at_infinity) > 1:
-            raise ValueError("vertices are -inf in different coordinates")
+            raise InvalidInputError(
+                "vertices are -inf in different coordinates")
         sed = frozenset(sedentarity).union(*at_infinity)
         if any(not 0 <= i < ambient_dim for i in sed):
             raise DimensionError(f"sedentary coordinates {sorted(sed)} "
@@ -94,15 +96,16 @@ class Polyhedron:
         for v in verts:
             for i in sed:
                 if v[i] != 0:
-                    raise ValueError("sedentary coordinate must be -inf on "
-                                     "every vertex")
+                    raise InvalidInputError("sedentary coordinate must be "
+                                            "-inf on every vertex")
         clean_rays = []
         for r in rays:
             r = vec(r)
             if len(r) != ambient_dim:
-                raise ValueError("ray of wrong length")
+                raise InvalidInputError("ray of wrong length")
             if any(r[i] != 0 for i in sed):
-                raise ValueError("ray has a component in a sedentary direction")
+                raise InvalidInputError(
+                    "ray has a component in a sedentary direction")
             if not is_zero_vec(r):
                 clean_rays.append(primitive(r))
         return _interned(ambient_dim, sed, tuple(sorted(set(verts))),
@@ -318,9 +321,9 @@ def stratum_piece(p: Polyhedron, extra: frozenset[int]):
     ineqs = [a for a, _ in p.hrep[1]]
     for i in mobile:
         if i in extra:
-            ineqs.append(vscale(-1, unit_vec(p.ambient_dim, i)))
+            ineqs.append(tuple(-(j == i) for j in range(p.ambient_dim)))
         else:
-            eqs.append(unit_vec(p.ambient_dim, i))
+            eqs.append(tuple(int(j == i) for j in range(p.ambient_dim)))
     _, rays = convex.cone_rays(ineqs, eqs, p.ambient_dim)
     piece = None
     if all(any(ray[i] for ray in rays) for i in extra):

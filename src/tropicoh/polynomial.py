@@ -7,7 +7,7 @@ import math
 from collections.abc import Mapping
 from fractions import Fraction
 
-from .errors import IntegralityError
+from .errors import IntegralityError, InvalidInputError
 from .linalg import Vec, clear_denominators, det, vec
 
 Monomial = tuple[int, ...]
@@ -33,7 +33,8 @@ class Poly:
             if any(type(e) is not int for e in mono):
                 raise IntegralityError(f"non-integral exponents {mono}")
             if len(mono) != nvars or any(e < 0 for e in mono):
-                raise ValueError(f"bad monomial {mono} for {nvars} variables")
+                raise InvalidInputError(
+                    f"bad monomial {mono} for {nvars} variables")
             clean[mono] = clean.get(mono, 0) + Fraction(coeff)
         self.terms = {m: c for m, c in clean.items() if c != 0}
 
@@ -194,7 +195,7 @@ def integrate_over_simplex(p: Poly, simplex_vertices: list[Vec]) -> Fraction:
     verts = [vec(v) for v in simplex_vertices]
     n = p.nvars
     if len(verts) != n + 1:
-        raise ValueError("simplex needs n+1 vertices")
+        raise InvalidInputError("simplex needs n+1 vertices")
     v0 = verts[0]
     jac = det(tuple(tuple(v[i] - v0[i] for v in verts[1:]) for i in range(n)))
     if jac == 0 or p.is_zero():

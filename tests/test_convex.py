@@ -24,8 +24,10 @@ from tropicoh.linalg import (
     is_zero_vec,
     kernel_basis,
     primitive,
+    rref,
     vdot,
     vec,
+    vsub,
     zero_vec,
 )
 
@@ -186,6 +188,102 @@ def test_polyhedron_facets_keys_match_subset_enumeration(polytope):
     with mock.patch.object(convex, "cone_facets", _old_cone_facets):
         old = polyhedron_facets(verts, rays, dim)
     assert new == old
+
+
+def _old_rescale_offset(a_raw, b_raw):
+    ap = primitive(a_raw)
+    scale = next(F(x) / F(y) for x, y in zip(ap, vec(a_raw)) if y != 0)
+    b = F(b_raw) * scale
+    return ap, b.numerator if b.denominator == 1 else b
+
+
+def _old_polyhedron_facets(vertices, rays, ambient_dim):
+    """The Fraction path that the integer one replaced: homogenize with
+    Fraction rows, reduce the equations with `rref`, rescale each row
+    to a primitive normal, and test constancy on the affine hull with
+    `vdot` on the differences of the vertices."""
+    verts = [vec(v) for v in vertices]
+    rs = [vec(r) for r in rays]
+    homog = [(F(1),) + v for v in verts] + [(F(0),) + r for r in rs]
+    eqs_h, normals_h = cone_facets(homog, ambient_dim + 1)
+    directions = [vsub(v, verts[0]) for v in verts[1:]] + rs
+    eq_rows = []
+    for e in eqs_h:
+        a = vec(e[1:])
+        if not is_zero_vec(a):
+            eq_rows.append(tuple(list(a) + [vdot(a, verts[0])]))
+    eq_canon = [_old_rescale_offset(row[:-1], row[-1])
+                for row in rref(eq_rows)[0]]
+    inequalities = []
+    for n in normals_h:
+        a0, a = F(n[0]), vec(n[1:])
+        if is_zero_vec(a) or all(vdot(a, d) == 0 for d in directions):
+            continue
+        inequalities.append(_old_rescale_offset(a, -a0))
+    return sorted(eq_canon), sorted(inequalities)
+
+
+_coords = st.one_of(
+    st.integers(-3, 3),
+    st.builds(F, st.integers(-7, 7), st.sampled_from([1, 2, 3, 6])))
+
+
+@st.composite
+def _cells(draw):
+    """conv(vertices) + cone(rays): the image of a parameter space of
+    dimension `sub` <= dim under an integer matrix and a rational offset,
+    so lower-dimensional cells and non-integral vertices are common;
+    repeated vertices and midpoints of two vertices mixed in; rays from
+    the image of the matrix, and opposite pairs +-e_i of unit vectors,
+    which add lineality."""
+    dim = draw(st.integers(1, 4))
+    sub = draw(st.integers(0, dim))
+    matrix = [draw(st.lists(st.integers(-2, 2), min_size=sub, max_size=sub))
+              for _ in range(dim)]
+    offset = draw(st.lists(_coords, min_size=dim, max_size=dim))
+
+    def image(p, base):
+        return [o + sum(m * x for m, x in zip(row, p))
+                for row, o in zip(matrix, base)]
+
+    params = draw(st.lists(st.lists(_coords, min_size=sub, max_size=sub),
+                           min_size=1, max_size=5))
+    verts = [image(p, offset) for p in params]
+    for v in list(verts):
+        kind = draw(st.sampled_from(["keep", "repeat", "midpoint"]))
+        if kind == "repeat":
+            verts.append(list(v))
+        elif kind == "midpoint":
+            w = draw(st.sampled_from(verts))
+            verts.append([(x + y) / F(2) for x, y in zip(v, w)])
+    verts = draw(st.permutations(verts))
+    direction = st.lists(st.integers(-1, 1), min_size=sub, max_size=sub)
+    rays = [r for r in (image(d, [0] * dim)
+                        for d in draw(st.lists(direction, max_size=2)))
+            if any(r)]
+    for i in draw(st.lists(st.integers(0, dim - 1), max_size=2)):
+        e = [int(j == i) for j in range(dim)]
+        rays += [e, [-x for x in e]]
+    return dim, verts, rays
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cells())
+@example((1, [[0]], []))                                 # a point
+@example((2, [[F(1, 2), 0], [F(1, 2), 1]], []))          # x = 1/2
+@example((2, [[F(1, 3), 0], [1, F(2, 3)], [0, 0]], []))  # offsets 1/3
+@example((2, [[0, 0]], [[1, 0], [-1, 0]]))               # a line
+@example((3, [[1, 1, 1], [1, 1, 1]], [[0, 0, 1], [0, 0, -1]]))
+@example((2, [[F(1, 2), F(1, 2)]], [[1, 1], [2, 0]]))   # non-primitive ray
+def test_polyhedron_facets_match_the_fraction_path(cell):
+    # Same equations, facets and offset types (an int exactly when the
+    # offset is integral) as the frozen Fraction computation.
+    dim, verts, rays = cell
+    new = polyhedron_facets(verts, rays, dim)
+    assert repr(new) == repr(_old_polyhedron_facets(verts, rays, dim))
+    for a, b in new[0] + new[1]:
+        assert all(type(x) is int for x in a)
+        assert type(b) is int or b.denominator > 1
 
 
 def test_cone_facets_quadrant():

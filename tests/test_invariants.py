@@ -20,6 +20,7 @@ from tropicoh.cohomology import (
     multitangent_space,
     ordinary_cohomology,
 )
+from tropicoh.errors import InvalidInputError, TropicohError
 from tropicoh.linalg import (
     Lattice,
     mat,
@@ -270,6 +271,61 @@ def test_cone_kernel_is_one_double_description():
     # so both directions go through the one enumeration in cone_rays.
     assert "combinations" not in Path(convex.__file__).read_text()
     assert "cone_rays(" in inspect.getsource(convex.cone_facets)
+
+
+def _names_read(fn):
+    return {n.id for n in ast.walk(ast.parse(inspect.getsource(fn)))
+            if isinstance(n, ast.Name)}
+
+
+def _eliminations(path):
+    """Functions of a module that combine two rows as a*x - b*y in a
+    comprehension and divide by a gcd: a fraction-free elimination."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        combines = any(
+            isinstance(n, ast.ListComp) and isinstance(n.elt, ast.BinOp)
+            and isinstance(n.elt.op, ast.Sub)
+            and all(isinstance(side, ast.BinOp)
+                    and isinstance(side.op, ast.Mult)
+                    for side in (n.elt.left, n.elt.right))
+            for n in ast.walk(node))
+        divides = any(isinstance(n, ast.Attribute) and n.attr == "gcd"
+                      for n in ast.walk(node))
+        if combines and divides:
+            found.append(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_one_fraction_free_elimination():
+    # Row reduction runs once, on ints, in linalg.integer_echelon: rref,
+    # kernel_basis and integer_kernel read their answers off it, and the
+    # V-to-H path touches no Fraction vector helper.
+    package = Path(tropicoh.__file__).parent
+    found = [f for p in sorted(package.glob("*.py")) for f in _eliminations(p)]
+    assert found == ["linalg.integer_echelon"]
+    for fn in (convex.polyhedron_facets, convex.cone_rays):
+        assert not _names_read(fn) & {"vec", "vdot", "rref", "kernel_basis"}
+    assert not hasattr(convex, "_rescale_offset")
+
+
+def test_no_bare_value_errors():
+    # Malformed arguments raise InvalidInputError, a TropicohError that is
+    # also a ValueError, never a bare ValueError.
+    package = Path(tropicoh.__file__).parent
+    bare = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                    bare.append(f"{path.name}:{node.lineno}")
+    assert not bare, bare
+    assert issubclass(InvalidInputError, TropicohError)
+    assert issubclass(InvalidInputError, ValueError)
 
 
 def test_exact_kernel_returns_fractions():

@@ -34,9 +34,6 @@ def test_complex_round_trip(tmp_path):
 
 def test_complex_round_trip_sedentary_facet(tmp_path):
     # A complex whose only facet is sedentary round-trips through "-inf".
-    seg = build_complex([(Polyhedron(1, [(0,)], [(1,), (-1,)]), 1)],
-                        tropical_coords=[0])
-    stratum_cell = next(c for c in seg.cells if c.sedentarity)
     single = build_complex(
         [(Polyhedron(1, [[tio.parse_extended("-inf")]]), 1)],
         tropical_coords=[0])

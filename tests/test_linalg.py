@@ -20,6 +20,8 @@ from tropicoh.linalg import (
     det,
     hermite_normal_form,
     idet,
+    integer_echelon,
+    integer_kernel,
     kernel_basis,
     mat,
     mat_mul,
@@ -516,6 +518,37 @@ def test_kernel_basis_matches_rational_elimination(shape_rows):
     basis = kernel_basis(mat(rows), ncols)
     assert basis == _oracle_kernel(rows, ncols)
     assert _all_fractions(basis)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_rows(entries=st.integers(-9, 9)))
+def test_integer_echelon_is_the_primitive_rref(shape_rows):
+    # Each row is the reduced row scaled to a primitive int row with a
+    # positive pivot.
+    _, rows = shape_rows
+    work, pivots = integer_echelon(rows)
+    red, red_pivots = _oracle_rref(rows)
+    assert pivots == red_pivots
+    assert [[F(x, row[pc]) for x in row]
+            for row, pc in zip(work, pivots)] == [list(r) for r in red]
+    for row, pc in zip(work, pivots):
+        assert row[pc] > 0 and math.gcd(*row) == 1
+        assert all(type(x) is int for x in row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_rows(entries=st.integers(-9, 9)))
+@example((3, []))                                      # no rows
+@example((3, [[0, 0, 0], [0, 0, 0]]))                  # rank 0
+@example((3, [[1, 2, 3], [1, 2, 3]]))                  # duplicate rows
+@example((3, [[0, 0, 1], [0, 1, 0], [1, 0, 0]]))       # full rank
+@example((4, [[2, -3, 0, 5], [0, 0, -2, 3], [4, -6, 0, 10]]))
+@example((3, [[2, 0, -1], [0, 3, -1]]))                # pivots 2 and 3
+def test_integer_kernel_is_the_primitive_kernel_basis(shape_rows):
+    ncols, rows = shape_rows
+    basis = integer_kernel(rows, ncols)
+    assert basis == [primitive(r) for r in kernel_basis(mat(rows), ncols)]
+    assert all(type(x) is int for v in basis for x in v)
 
 
 def test_kernel_basis_is_one_elimination():

@@ -210,12 +210,20 @@ def test_projection_keeps_the_other_tropical_coordinates():
     assert weighted_supports_equal(res.source, t1)
 
 
-def test_projecting_away_a_sedentary_coordinate():
+def test_projecting_away_a_sedentary_coordinate(monkeypatch):
     # The point (-inf, 0) used to project to a cell sedentary in the
     # coordinate -1, which raised DimensionError; it is no modification.
+    # A graph has no facet at -inf in the projected coordinate, so the
+    # projection refuses it before rebuilding anything.
     point = build_complex([Polyhedron(2, [(NEG_INF, 0)])], [0])
-    with pytest.raises(NotAModificationError):
+    completions = []
+    monkeypatch.setattr(modifications, "complete_modification",
+                        lambda *args: completions.append(args))
+    with pytest.raises(NotAModificationError,
+                       match=r"facet Polyhedron\(dim 0 in T\^2, sed=\[0\].* "
+                             r"sedentary in the projected coordinate 0"):
         project_modification(point, 0)
+    assert completions == []
 
 
 def test_closed_modification_constant_has_no_sedentary_part():
